@@ -58,6 +58,15 @@ type chain_cached = {
   cc_summary : Delegation.summary;
 }
 
+(* The compiled-policy tier's one piece of state, which is also its
+   compile latch: the generation of the last charged compile attempt
+   (see [recompile_bytecode]).  [Rejected (-1)] is the empty engine: no
+   generation is -1, so the first consult attempts. *)
+type bc_state =
+  | Pending of int  (** charged at this generation, not built yet *)
+  | Built of Policy.t  (** verified and installed; its own generation *)
+  | Rejected of int  (** built at this generation, verifier said no *)
+
 type t = {
   kernel : Kernel.t;
   sup : View.t;
@@ -68,12 +77,9 @@ type t = {
   in_kernel : bool;
   caching : bool;
   bytecode : bool;
-  (* The installed decision program, its compile latch (one compile
-     attempt per generation — a rejected compile must not retry until
-     the filesystem actually changes), and the test-only corruption
-     hook for proving the verifier fails closed. *)
-  mutable bc_prog : Policy.t option;
-  mutable bc_attempt_gen : int;
+  (* The decision program's state (see [bc_state]) and the test-only
+     corruption hook for proving the verifier fails closed. *)
+  mutable bc : bc_state;
   mutable bc_tamper : (Policy.t -> Policy.t) option;
   c_gen_check : int64;
   c_chain_hop : int64;
@@ -99,6 +105,7 @@ type t = {
   m_bc_fallback : Metrics.counter;
   m_bc_recompile : Metrics.counter;
   m_bc_reject : Metrics.counter;
+  m_bc_build : Metrics.counter;
 }
 
 let acl_filename = Acl.filename
@@ -121,8 +128,7 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     (* Bytecode rides the same generation infrastructure the caches
        do; it defaults on exactly when they are. *)
     bytecode = (match bytecode with Some b -> b | None -> caching);
-    bc_prog = None;
-    bc_attempt_gen = -1;
+    bc = Rejected (-1);
     bc_tamper = None;
     c_gen_check = (Kernel.cost kernel).Cost.gen_check_ns;
     c_chain_hop = (Kernel.cost kernel).Cost.chain_hop_ns;
@@ -146,50 +152,81 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     m_bc_fallback = c "kernel.bytecode.fallback";
     m_bc_recompile = c "kernel.bytecode.recompile";
     m_bc_reject = c "kernel.bytecode.reject";
+    m_bc_build = c "kernel.bytecode.build";
   }
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-policy bytecode.                                           *)
 
-(* One compile attempt per generation: compilation is charged flat at
-   [bytecode_compile_ns] and its outcome — installed program or
-   verifier rejection (fail closed to the interpreter) — is latched
-   until the filesystem actually changes again. *)
+let attempt_gen = function
+  | Pending g | Rejected g -> g
+  | Built p -> Policy.generation p
+
+(* One compile attempt per generation, charged flat at
+   [bytecode_compile_ns] where it is made: the stale consult,
+   [write_acl], [refresh_bytecode] and the first consult.  The attempt
+   only records that a build is owed for [gen]; [build_pending] pays it
+   on the first consult at that generation.
+
+   Under churn most attempts are superseded before any check reads
+   them.  An attempt still pending when the generation moves is
+   treated as the stale program it would have been, so verdicts,
+   charges and counters match building every attempt eagerly — except
+   for an attempt the verifier would have rejected: built eagerly it
+   would have sent the next consult down the rejected path (compile
+   and answer at once, no [stale] count), while skipped it takes the
+   stale path (interpreter answers, build deferred to the next check).
+   The tamper hook is the only way to make the verifier reject. *)
 let recompile_bytecode t ~gen =
-  if t.bc_attempt_gen <> gen then begin
-    t.bc_attempt_gen <- gen;
+  if attempt_gen t.bc <> gen then begin
     Kernel.charge t.kernel t.c_bc_compile;
-    match
-      Policy_compile.compile ?tamper:t.bc_tamper (Kernel.fs t.kernel)
-        ~uid:t.sup.View.uid
-    with
-    | Ok p ->
-      Metrics.incr t.m_bc_recompile;
-      t.bc_prog <- Some p;
-      Kernel.set_policy t.kernel (Some p)
-    | Error _ ->
-      Metrics.incr t.m_bc_reject;
-      t.bc_prog <- None;
-      Kernel.set_policy t.kernel None
+    Metrics.incr t.m_bc_recompile;
+    t.bc <- Pending gen
   end
 
+(* The host build of a pending attempt: snapshot, verify, install or
+   fail closed to the interpreter.  Runs only while the generation is
+   still the one the attempt was charged at, so the program is exactly
+   the one an eager build would have produced. *)
+let build_pending t ~gen =
+  match t.bc with
+  | Pending g when g = gen ->
+    Metrics.incr t.m_bc_build;
+    (match
+       Policy_compile.compile ?tamper:t.bc_tamper (Kernel.fs t.kernel)
+         ~uid:t.sup.View.uid
+     with
+     | Ok p ->
+       t.bc <- Built p;
+       Kernel.set_policy t.kernel (Some p)
+     | Error _ ->
+       Metrics.incr t.m_bc_reject;
+       t.bc <- Rejected gen;
+       Kernel.set_policy t.kernel None)
+  | Pending _ | Built _ | Rejected _ -> ()
+
 let refresh_bytecode t =
-  if t.bytecode then begin
-    let gen = Fs.generation (Kernel.fs t.kernel) in
-    match t.bc_prog with
-    | Some p when Policy.generation p = gen -> ()
-    | Some _ | None -> recompile_bytecode t ~gen
-  end
+  if t.bytecode then
+    recompile_bytecode t ~gen:(Fs.generation (Kernel.fs t.kernel))
 
 let set_bytecode_tamper t f =
   t.bc_tamper <- f;
   (* Drop the resident program and the latch so the next consult
      recompiles under the new corruption. *)
-  t.bc_prog <- None;
-  t.bc_attempt_gen <- -1;
+  t.bc <- Rejected (-1);
   Kernel.set_policy t.kernel None
 
-let bytecode_program t = t.bc_prog
+(* The program current at this generation, building a pending attempt
+   first. *)
+let current_program t ~gen =
+  build_pending t ~gen;
+  match t.bc with
+  | Built p when Policy.generation p = gen -> Some p
+  | Built _ | Pending _ | Rejected _ -> None
+
+let bytecode_program t =
+  if not t.bytecode then None
+  else current_program t ~gen:(Fs.generation (Kernel.fs t.kernel))
 
 (* The syscall-entry fast path: one generation compare, then the
    program answers without touching the interpreter.  [None] sends the
@@ -219,19 +256,20 @@ let bytecode_consult t kind ~identity right =
         Metrics.incr t.m_bc_fallback;
         None
     in
-    match t.bc_prog with
-    | Some p when Policy.generation p = gen -> evaluate p
-    | Some _ ->
-      (* Stale: the interpreter serves this check; the recompile
-         happens here, off the per-check fast path. *)
+    match t.bc with
+    | Built p when Policy.generation p = gen -> evaluate p
+    | Built _ | Pending _ when attempt_gen t.bc <> gen ->
+      (* Stale (a program, or an attempt that would have built one):
+         the interpreter serves this check, and the next attempt is
+         charged here, off the per-check fast path. *)
       Metrics.incr t.m_bc_stale;
       recompile_bytecode t ~gen;
       None
-    | None ->
+    | Built _ | Pending _ | Rejected _ ->
       recompile_bytecode t ~gen;
-      (match t.bc_prog with
-       | Some p when Policy.generation p = gen -> evaluate p
-       | Some _ | None -> None)
+      (match current_program t ~gen with
+       | Some p -> evaluate p
+       | None -> None)
   end
 
 (* A user-level supervisor pays two context switches to make its own

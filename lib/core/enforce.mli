@@ -27,7 +27,11 @@
     every mutation that could change an answer, and only ACL-backed
     verdicts are decision-cached (the [nobody] fallback depends on the
     object's stat).  Hit/miss counters: [acl.cache.*], [enforce.name.*],
-    [enforce.decision.*]. *)
+    [enforce.decision.*].
+
+    With bytecode on (the default with caching), a compiled decision
+    program answers first; see {!section-bytecode} for how its compiles
+    are charged when attempted but built only when a check needs them. *)
 
 type t
 
@@ -50,28 +54,44 @@ val create :
     answers.  Pin [~bytecode:false] to measure the decision-cache tier
     in isolation. *)
 
-(** {1 Compiled-policy bytecode}
+(** {1:bytecode Compiled-policy bytecode}
 
     The box's reachable ACL set, compiled by {!Policy_compile} into a
     verified decision program and consulted at syscall entry before the
     interpreter.  Invalidation rides the existing generation tokens: any
     namespace/ACL mutation bumps the VFS generation, the resident
     program goes stale, the next check falls back to the interpreter
-    and triggers one recompile (charged
-    {!Idbox_kernel.Cost.t.bytecode_compile_ns}, latched per
-    generation).  A program the verifier rejects is never installed —
+    and makes one compile attempt.
+
+    Compiles are charged at the attempt and built on demand.  An
+    attempt (at a stale check, an ACL write, {!refresh_bytecode}, or
+    the first check) charges {!Idbox_kernel.Cost.t.bytecode_compile_ns}
+    once per generation and only records that a build is owed.  The
+    host build — snapshot, verify, install — runs on the first check
+    (or {!bytecode_program}) at that same generation; if the generation
+    moves first it never runs, and the check that finds it behind takes
+    the stale path as if the program had been built.  Simulated time
+    and verdicts therefore match building every attempt, except after
+    an attempt the verifier would have rejected (only possible with the
+    tamper hook).  A program the verifier rejects is never installed —
     the engine fails closed to the interpreter, and the rejection is
     latched until the filesystem changes again.  Counters:
-    [kernel.bytecode.{hit,stale,fallback,recompile,reject}]. *)
+    [kernel.bytecode.{hit,stale,fallback}], [recompile] (charged
+    attempts), [build] (host builds run) and [reject] (builds the
+    verifier refused). *)
 
 val refresh_bytecode : t -> unit
-(** Ensure the resident program matches the current generation,
-    compiling if needed.  Servers call this when a session
-    authenticates, so the session's first checks are already on the
-    fast path.  No-op when bytecode is disabled. *)
+(** Charge a compile attempt for the current generation unless one is
+    already charged there.  Servers call this when a session
+    authenticates, so the session's first check is answered by the
+    program (built then) instead of falling back.  No-op when bytecode
+    is disabled. *)
 
 val bytecode_program : t -> Idbox_kernel.Policy.t option
-(** The resident program, if any — for stats and tests. *)
+(** The program valid at the current generation, if any, running its
+    pending build first — for stats and tests.  [None] when bytecode is
+    off, when no attempt has been charged at this generation, or when
+    the verifier rejected it. *)
 
 val set_bytecode_tamper :
   t -> (Idbox_kernel.Policy.t -> Idbox_kernel.Policy.t) option -> unit

@@ -1,13 +1,18 @@
 (* The policy compiler: snapshot the box's reachable ACL universe into
    an {!Idbox_kernel.Policy} decision program.
 
-   Compilation walks the filesystem host-side (no delegated syscalls —
-   the whole compile is charged flat at
-   {!Idbox_kernel.Cost.t.bytecode_compile_ns} by the caller, off the
-   hot path), mirroring the enforcement engine's resolution semantics
-   exactly: the supervisor's uid for every access, ancestor symlinks
-   resolved with the same expansion budget, unparseable ACLs compiled
-   as deny-all, unreadable ones as "no ACL".
+   Compilation walks the filesystem host-side (no delegated syscalls),
+   mirroring the enforcement engine's resolution semantics exactly: the
+   supervisor's uid for every access, ancestor symlinks resolved with
+   the same expansion budget, unparseable ACLs compiled as deny-all,
+   unreadable ones as "no ACL".  The caller charges each compile
+   attempt flat at {!Idbox_kernel.Cost.t.bytecode_compile_ns} when it
+   makes it, and [Enforce] runs this build later, only once a check at
+   that same generation needs the program — so most attempts under
+   churn never reach here.  The builds that do are kept cheap without
+   changing one byte of their output: seed trials track occupancy in
+   one stamped array per table length, and the verifier parses each
+   principal once and derives each directory's ACL once per call.
 
    Anything the snapshot cannot answer as a pure function of
    (governing ACL, principal, right) is recorded as NOT COMPILED
@@ -40,14 +45,16 @@ module Inode = Idbox_vfs.Inode
 
    The VM is policy-agnostic: rights travel as bit positions defined
    here, by position in {!Right.all}, independent of the internal
-   encoding of {!Rights.t}. *)
+   encoding of {!Rights.t}.  A direct match, not a list walk: every
+   bytecode check converts its right. *)
 
-let right_bit r =
-  let rec idx i = function
-    | [] -> invalid_arg "Policy_compile.right_bit"
-    | x :: rest -> if Right.equal x r then i else idx (i + 1) rest
-  in
-  idx 0 Right.all
+let right_bit = function
+  | Right.Read -> 0
+  | Right.Write -> 1
+  | Right.List -> 2
+  | Right.Execute -> 3
+  | Right.Admin -> 4
+  | Right.Delete -> 5
 
 let rights_mask rights =
   List.fold_left
@@ -170,8 +177,11 @@ let snapshot fs ~uid =
            nonexistence claims nor in-dir verdicts may come from here. *)
         add_dir snap dir (-1)
       | Ok names ->
-        add_dir snap dir
-          (match own_acl with Some a -> intern_acl snap a | None -> -1);
+        (* Interned once per directory, not re-rendered per child. *)
+        let own_id =
+          match own_acl with Some a -> intern_acl snap a | None -> -1
+        in
+        add_dir snap dir own_id;
         List.iter
           (fun name ->
             if not snap.overflow then begin
@@ -186,10 +196,7 @@ let snapshot fs ~uid =
               | Ok st ->
                 (match st.Fs.st_kind with
                  | Inode.Directory ->
-                   add_path snap child
-                     (match own_acl with
-                      | Some a -> intern_acl snap a
-                      | None -> -1);
+                   add_path snap child own_id;
                    walk_dir child
                  | Inode.Symlink ->
                    let final = resolve_final fs ~uid child in
@@ -218,11 +225,7 @@ let snapshot fs ~uid =
                       in
                       add_dir snap child alias_value
                     | Ok _ | Error _ -> ())
-                 | _ ->
-                   add_path snap child
-                     (match own_acl with
-                      | Some a -> intern_acl snap a
-                      | None -> -1))
+                 | _ -> add_path snap child own_id)
             end)
           names
   in
@@ -239,36 +242,44 @@ let snapshot fs ~uid =
 
 (* Try seeds until every key lands in a distinct slot: the perfect-hash
    construction.  Grows the table (up to the budget) when no seed in
-   the trial window works. *)
+   the trial window works.  A trial only needs occupancy, so each
+   length gets one mark array stamped with the trial's seed (seeds
+   start at 1: the initial 0 never reads as taken); the key/value
+   arrays are built once, for the winning seed. *)
 let build_table ~slot items =
   let n = List.length items in
   let rec pow2 x = if x >= n * 2 && x >= 4 then x else pow2 (x * 2) in
+  let place ~seed len =
+    let key = Array.make len (-1) in
+    let value = Array.make len (-1) in
+    List.iter
+      (fun (k, pool_idx, v) ->
+        let i = slot ~seed ~len k in
+        key.(i) <- pool_idx;
+        value.(i) <- v)
+      items;
+    Some (seed, key, value)
+  in
   let rec try_len len =
     if len > Policy.max_table then None
     else
-      let rec try_seed seed trials =
-        if trials = 0 then None
-        else begin
-          let key = Array.make len (-1) in
-          let value = Array.make len (-1) in
-          let ok = ref true in
-          List.iter
-            (fun (k, pool_idx, v) ->
-              if !ok then begin
-                let i = slot ~seed ~len k in
-                if key.(i) >= 0 then ok := false
-                else begin
-                  key.(i) <- pool_idx;
-                  value.(i) <- v
-                end
-              end)
-            items;
-          if !ok then Some (seed, key, value) else try_seed (seed + 1) (trials - 1)
-        end
+      let mark = Array.make len 0 in
+      let rec fits seed = function
+        | [] -> true
+        | (k, _, _) :: rest ->
+          let i = slot ~seed ~len k in
+          if mark.(i) = seed then false
+          else begin
+            mark.(i) <- seed;
+            fits seed rest
+          end
       in
-      match try_seed 1 64 with
-      | Some r -> Some r
-      | None -> try_len (len * 2)
+      let rec try_seed seed =
+        if seed > 64 then try_len (len * 2)
+        else if fits seed items then place ~seed len
+        else try_seed (seed + 1)
+      in
+      try_seed 1
   in
   try_len (pow2 4)
 
@@ -392,16 +403,14 @@ let prng seed =
     state := ((!state * 0x2545F4914F6CDD1D) + 0x9E3779B97F4A7C1) land max_int;
     (!state lsr 17) mod bound
 
-(* Re-derive the expected verdict for one sampled check from the live
+(* Re-derive the expected verdict for each sampled check from the live
    filesystem — independent of the snapshot the program was built from.
-   [None] means the engine would use the nobody fallback (not a pure
-   ACL function), where the program must answer [Unknown]. *)
-let expected_verdict fs ~uid ~path ~principal right =
-  let final = resolve_final fs ~uid path in
-  match acl_of_dir fs ~uid (Path.dirname final) with
-  | Some acl -> Some (Acl.check acl principal right)
-  | None -> None
-
+   An expectation of [None] means the engine would use the nobody
+   fallback (not a pure ACL function), where the program must answer
+   [Unknown].  The filesystem cannot change during one call, so each
+   principal is parsed once, and each directory's ACL and each path's
+   governing directory are derived at most once; the sample itself
+   (seed, count, probe shapes, draw order) is unchanged by that memo. *)
 let verify fs ~uid ~seed ~samples prog snap =
   let paths =
     Hashtbl.fold (fun k _ acc -> k :: acc) snap.paths []
@@ -413,6 +422,8 @@ let verify fs ~uid ~seed ~samples prog snap =
     |> List.sort String.compare
     |> Array.of_list
   in
+  (* Each principal with its canonical rendering — exactly the string
+     the engine presents at check time. *)
   let principals =
     let literals =
       List.concat_map
@@ -425,9 +436,30 @@ let verify fs ~uid ~seed ~samples prog snap =
             (Acl.entries acl))
         snap.acls
     in
-    Array.of_list
-      (List.sort_uniq String.compare
-         (("unix:nobody" :: "globus:/O=Elsewhere/CN=stranger" :: literals)))
+    List.sort_uniq String.compare
+      ("unix:nobody" :: "globus:/O=Elsewhere/CN=stranger" :: literals)
+    |> List.map (fun s ->
+           let p = Principal.of_string s in
+           (p, Principal.to_string p))
+    |> Array.of_list
+  in
+  let memo f =
+    let tbl = Hashtbl.create 64 in
+    fun key ->
+      match Hashtbl.find_opt tbl key with
+      | Some v -> v
+      | None ->
+        let v = f key in
+        Hashtbl.replace tbl key v;
+        v
+  in
+  let acl_of = memo (acl_of_dir fs ~uid) in
+  let governing = memo (fun path -> Path.dirname (resolve_final fs ~uid path)) in
+  let want_in dir principal right =
+    Option.map (fun acl -> Acl.check acl principal right) (acl_of dir)
+  in
+  let want_object path principal right =
+    want_in (governing path) principal right
   in
   let rights = Array.of_list Right.all in
   let rand = prng seed in
@@ -437,59 +469,48 @@ let verify fs ~uid ~seed ~samples prog snap =
   else begin
     for _ = 1 to samples do
       if !disagreement = None then begin
-        let principal = Principal.of_string principals.(rand (Array.length principals)) in
-        (* Evaluate with the canonical rendering — exactly the string
-           the engine presents at check time. *)
-        let who = Principal.to_string principal in
+        let principal, who = principals.(rand (Array.length principals)) in
         let right = rights.(rand (Array.length rights)) in
         let bit = right_bit right in
+        (* [fallback] names the probe when the program answered where
+           the engine would fall back to the nobody rule. *)
+        let judge want got ~kind ~fallback subject =
+          match (want, got) with
+          | Some true, Policy.Deny | Some false, Policy.Allow ->
+            disagreement :=
+              Some
+                (Printf.sprintf "%s %s %s %c" kind subject who
+                   (Right.to_char right))
+          | None, (Policy.Allow | Policy.Deny) ->
+            disagreement :=
+              Some (Printf.sprintf "%s %s answered by program" fallback subject)
+          | _ -> ()
+        in
         (* Three probe shapes: an existing object, a nonexistent child
            of an existing directory, and an in-dir check. *)
         let shape = rand 3 in
         if shape = 0 && n_paths > 0 then begin
           let path = paths.(rand n_paths) in
-          let got = Policy.eval_object prog ~principal:who ~path ~right_bit:bit in
-          match (expected_verdict fs ~uid ~path ~principal right, got) with
-          | Some true, Policy.Deny | Some false, Policy.Allow ->
-            disagreement :=
-              Some (Printf.sprintf "object %s %s %c" path who (Right.to_char right))
-          | None, Policy.Allow | None, Policy.Deny ->
-            disagreement :=
-              Some (Printf.sprintf "fallback %s answered by program" path)
-          | _ -> ()
+          judge
+            (want_object path principal right)
+            (Policy.eval_object prog ~principal:who ~path ~right_bit:bit)
+            ~kind:"object" ~fallback:"fallback" path
         end
         else if shape = 1 && n_dirs > 0 then begin
           let dir = dirs.(rand n_dirs) in
           let path =
             if String.equal dir "/" then "/__pc_probe" else dir ^ "/__pc_probe"
           in
-          let got = Policy.eval_object prog ~principal:who ~path ~right_bit:bit in
-          match (expected_verdict fs ~uid ~path ~principal right, got) with
-          | Some true, Policy.Deny | Some false, Policy.Allow ->
-            disagreement :=
-              Some
-                (Printf.sprintf "absent %s %s %c" path who (Right.to_char right))
-          | None, Policy.Allow | None, Policy.Deny ->
-            disagreement :=
-              Some (Printf.sprintf "fallback %s answered by program" path)
-          | _ -> ()
+          judge
+            (want_object path principal right)
+            (Policy.eval_object prog ~principal:who ~path ~right_bit:bit)
+            ~kind:"absent" ~fallback:"fallback" path
         end
         else if n_dirs > 0 then begin
           let dir = dirs.(rand n_dirs) in
-          let got = Policy.eval_in_dir prog ~principal:who ~dir ~right_bit:bit in
-          let want =
-            match acl_of_dir fs ~uid dir with
-            | Some acl -> Some (Acl.check acl principal right)
-            | None -> None
-          in
-          match (want, got) with
-          | Some true, Policy.Deny | Some false, Policy.Allow ->
-            disagreement :=
-              Some (Printf.sprintf "in-dir %s %s %c" dir who (Right.to_char right))
-          | None, Policy.Allow | None, Policy.Deny ->
-            disagreement :=
-              Some (Printf.sprintf "fallback dir %s answered by program" dir)
-          | _ -> ()
+          judge (want_in dir principal right)
+            (Policy.eval_in_dir prog ~principal:who ~dir ~right_bit:bit)
+            ~kind:"in-dir" ~fallback:"fallback dir" dir
         end
       end
     done;

@@ -81,10 +81,13 @@ let glob_fuel = (max_pattern + 1) * 1_024
    "perfect" without any probe sequence at evaluation time. *)
 
 let hash ~seed s =
+  (* A plain loop over [unsafe_get]: every bytecode probe hashes, so
+     this must not allocate a closure or box a [ref]. *)
   let h = ref (0x811c9dc5 lxor seed) in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0x3FFFFFFF
+  done;
   !h
 
 let dir_slot ~seed ~len s = hash ~seed s mod len

@@ -252,6 +252,7 @@ let stats_dump_covers_delegation () =
       "kernel.bytecode.fallback";
       "kernel.bytecode.recompile";
       "kernel.bytecode.reject";
+      "kernel.bytecode.build";
     ]
 
 (* The warm check path must be allocation- and lookup-free in the

@@ -16,6 +16,7 @@ module Kernel = Idbox_kernel.Kernel
 module Metrics = Idbox_kernel.Metrics
 module Policy = Idbox_kernel.Policy
 module Enforce = Idbox.Enforce
+module Policy_compile = Idbox.Policy_compile
 module Ca = Idbox_auth.Ca
 module Delegation = Idbox_auth.Delegation
 module Acl = Idbox_acl.Acl
@@ -298,6 +299,257 @@ let warm_hit_is_cheap () =
     Alcotest.failf "warm bytecode check cost %Ldns, not below one gen check"
       elapsed
 
+(* --- the deferred build ------------------------------------------------
+
+   A compile attempt is charged when it is made, but the host build
+   only runs when a check at that generation reads the program. *)
+
+let counters k names =
+  List.map (fun n -> Metrics.counter_value_of (Kernel.metrics k) n) names
+
+let bc_counts k =
+  match
+    counters k
+      [ "kernel.bytecode.recompile"; "kernel.bytecode.build";
+        "kernel.bytecode.reject"; "kernel.bytecode.hit";
+        "kernel.bytecode.stale" ]
+  with
+  | [ recompile; build; reject; hit; stale ] -> (recompile, build, reject, hit, stale)
+  | _ -> assert false
+
+(* (a) N charged attempts with no check between them run no build, and
+   (b) the next check runs exactly one and is answered by it. *)
+let mutations_charge_without_building () =
+  let k, bytecode, _, uncached = setup () in
+  ignore (verdict bytecode fred "/w/a/f0" Right.Read);
+  let r0, b0, _, h0, s0 = bc_counts k in
+  let n = 5 in
+  let compile_ns = (Kernel.cost k).Idbox_kernel.Cost.bytecode_compile_ns in
+  let t0 = Kernel.now k in
+  for i = 1 to n do
+    (* A free host-side mutation, then the session-auth refresh: the
+       only charge on the clock is the compile attempt itself. *)
+    ok "mutate" (Fs.write_file (Kernel.fs k) ~uid:0 (Printf.sprintf "/w/b/n%d" i) "x");
+    Enforce.refresh_bytecode bytecode
+  done;
+  Alcotest.(check int64) "N compiles charged on the simulated clock"
+    (Int64.mul (Int64.of_int n) compile_ns)
+    (Int64.sub (Kernel.now k) t0);
+  for _ = 1 to n do
+    ok "write_acl" (Enforce.write_acl bytecode ~dir:"/w/b" (random_acl (Random.State.make [| 3 |])))
+  done;
+  let r1, b1, _, h1, s1 = bc_counts k in
+  Alcotest.(check int) "2N attempts charged" (2 * n) (r1 - r0);
+  Alcotest.(check int) "no build ran" 0 (b1 - b0);
+  Alcotest.(check int) "no check was served" 0 (h1 - h0 + (s1 - s0));
+  Alcotest.(check string) "verdict"
+    (verdict uncached jane "/w/b/f0" Right.Write)
+    (verdict bytecode jane "/w/b/f0" Right.Write);
+  let _, b2, _, h2, s2 = bc_counts k in
+  Alcotest.(check int) "the next check runs exactly one build" 1 (b2 - b1);
+  Alcotest.(check int) "answered from the program" 1 (h2 - h1);
+  Alcotest.(check int) "not a stale fallback" 0 (s2 - s1);
+  match (Enforce.bytecode_program bytecode, Kernel.policy k) with
+  | Some p, Some q when p == q ->
+    Alcotest.(check int) "program is current" (Fs.generation (Kernel.fs k))
+      (Policy.generation p)
+  | _ -> Alcotest.fail "built program not installed"
+
+(* (c) A tampered build is still rejected when the build is deferred:
+   the check after the mutation fails closed and the kernel slot stays
+   empty. *)
+let deferred_tamper_fails_closed () =
+  let k, bytecode, _, uncached = setup () in
+  ignore (verdict bytecode fred "/w/a/f0" Right.Read);
+  Enforce.set_bytecode_tamper bytecode
+    (Some
+       (fun p ->
+         { p with
+           Policy.p_code =
+             Array.make (Policy.max_code + Policy.instr_width) 0 }));
+  ok "write_acl"
+    (Enforce.write_acl bytecode ~dir:"/w/c"
+       (Acl.of_entries [ Entry.make ~pattern:"kerberos:*" (Rights.of_string_exn "rl") ]));
+  let _, b0, j0, _, _ = bc_counts k in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun identity ->
+          Alcotest.(check string) ("fail-closed " ^ path)
+            (verdict uncached identity path Right.Read)
+            (verdict bytecode identity path Right.Read))
+        identities)
+    probes;
+  let _, b1, j1, _, _ = bc_counts k in
+  Alcotest.(check int) "one build at this generation" 1 (b1 - b0);
+  Alcotest.(check int) "and the verifier rejected it" 1 (j1 - j0);
+  (match Kernel.policy k with
+   | None -> ()
+   | Some _ -> Alcotest.fail "tampered program reached the kernel slot");
+  match Enforce.bytecode_program bytecode with
+  | None -> ()
+  | Some _ -> Alcotest.fail "tampered program was installed"
+
+(* Swap the ACL ids of two directory slots: [check_program] still
+   passes (every value is a valid id, every key where it hashes), so
+   only the semantic sample can catch it. *)
+let swap_dirs a b (p : Policy.t) =
+  let slot name =
+    let found = ref (-1) in
+    Array.iteri
+      (fun i key ->
+        if key >= 0 && String.equal p.Policy.p_pool.(key) name then found := i)
+      p.Policy.p_dir_key;
+    if !found < 0 then Alcotest.failf "no dir slot for %s" name;
+    !found
+  in
+  let i = slot a and j = slot b in
+  let v = Array.copy p.Policy.p_dir_val in
+  let tmp = v.(i) in
+  v.(i) <- v.(j);
+  v.(j) <- tmp;
+  { p with Policy.p_dir_val = v }
+
+(* (d) A semantic tamper is still rejected by the memoized verifier,
+   both by [compile] and through a deferred build in the engine. *)
+let semantic_tamper_rejected () =
+  let k, bytecode, _, uncached = setup () in
+  let tamper = swap_dirs "/w/a" "/w/b" in
+  let fs = Kernel.fs k in
+  (match Policy_compile.compile fs ~uid:0 with
+   | Ok p ->
+     let bad = tamper p in
+     if Array.for_all2 ( = ) bad.Policy.p_dir_val p.Policy.p_dir_val then
+       Alcotest.fail "the swap changed nothing";
+     (match Policy.check_program bad with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "swap broke the structure: %s" m)
+   | Error m -> Alcotest.failf "healthy compile: %s" m);
+  (match Policy_compile.compile ~tamper fs ~uid:0 with
+   | Ok _ -> Alcotest.fail "semantic tamper passed the verifier"
+   | Error _ -> ());
+  Enforce.set_bytecode_tamper bytecode (Some tamper);
+  ok "write_acl" (Enforce.write_acl bytecode ~dir:"/w/c" (random_acl (Random.State.make [| 5 |])));
+  let _, b0, j0, _, _ = bc_counts k in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun right ->
+          Alcotest.(check string) ("fail-closed " ^ path)
+            (verdict uncached jane path right)
+            (verdict bytecode jane path right))
+        rights)
+    probes;
+  let _, b1, j1, _, _ = bc_counts k in
+  Alcotest.(check (pair int int)) "one build, rejected" (1, 1) (b1 - b0, j1 - j0);
+  match Kernel.policy k with
+  | None -> ()
+  | Some _ -> Alcotest.fail "tampered program reached the kernel slot"
+
+(* --- byte-identical builds --------------------------------------------- *)
+
+(* [Policy.hash] values taken from the FNV-1a loop as first written:
+   the seed trials place keys by it, so it must never drift. *)
+let hash_is_pinned () =
+  List.iter
+    (fun (seed, s, want) ->
+      Alcotest.(check int) (Printf.sprintf "hash %d %S" seed s) want
+        (Policy.hash ~seed s))
+    [
+      (0, "", 2166136261);
+      (0, "a", 604776748);
+      (1, "/g/d00/f0", 889477356);
+      (7, "globus:/O=UnivNowhere/CN=Fred", 502047577);
+      (0x1db0, "kerberos:alice@NOWHERE.EDU", 147412734);
+      (123456789, "\xff\x00\x80 binary", 817028626);
+    ]
+
+let right_bit_is_index () =
+  List.iteri
+    (fun i r ->
+      Alcotest.(check int)
+        (Printf.sprintf "right_bit %c" (Right.to_char r))
+        i (Policy_compile.right_bit r))
+    Right.all
+
+(* A fixed tree large enough that the path table grows twice and every
+   table needs more than one seed trial, with literal and wildcard
+   entries, a deny-all (unparseable) ACL, un-ACL'd directories and
+   symlinks to files and directories. *)
+let golden_fs () =
+  let fs = Fs.create () in
+  let put path text = ok "golden put" (Fs.write_file fs ~uid:0 path text) in
+  let acl entries =
+    Acl.to_string
+      (Acl.of_entries
+         (List.map
+            (fun (pattern, r) -> Entry.make ~pattern (Rights.of_string_exn r))
+            entries))
+  in
+  ok "golden root" (Fs.mkdir_p fs ~uid:0 "/g");
+  put "/g/.__acl"
+    (acl [ ("globus:/O=UnivNowhere/*", "rl"); ("unix:root", "rwlxad") ]);
+  for d = 0 to 23 do
+    let dir = Printf.sprintf "/g/d%02d" d in
+    ok "golden dir" (Fs.mkdir_p fs ~uid:0 dir);
+    (match d mod 4 with
+     | 0 -> ()
+     | 1 ->
+       put (dir ^ "/.__acl")
+         (acl
+            [ (Printf.sprintf "globus:/O=UnivNowhere/CN=User%d" d, "rwl");
+              ("kerberos:*@NOWHERE.EDU", "rl") ])
+     | 2 ->
+       put (dir ^ "/.__acl")
+         (acl
+            [ ("globus:/O=UnivNowhere/CN=Fred", "rwlda");
+              (Printf.sprintf "kerberos:user%d@NOWHERE.EDU" d, "r");
+              ("globus:/O=UnivNowhere/CN=Fred", "x") ])
+     | _ -> put (dir ^ "/.__acl") "not an acl ((");
+    for f = 0 to 5 do
+      put (Printf.sprintf "%s/f%d" dir f) (string_of_int (d * f))
+    done;
+    if d mod 5 = 0 then
+      ok "golden link"
+        (Fs.symlink fs ~uid:0
+           ~target:(Printf.sprintf "/g/d%02d/f0" ((d + 7) mod 24))
+           (dir ^ "/ln"));
+    if d mod 7 = 0 then
+      ok "golden dir link"
+        (Fs.symlink fs ~uid:0
+           ~target:(Printf.sprintf "/g/d%02d" ((d + 3) mod 24))
+           (dir ^ "/dl"))
+  done;
+  fs
+
+let program_digest (p : Policy.t) =
+  let b = Buffer.create 4096 in
+  let ints a =
+    Array.iter (fun i -> Buffer.add_string b (string_of_int i ^ ",")) a;
+    Buffer.add_char b '|'
+  in
+  Array.iter (fun s -> Buffer.add_string b (s ^ "\x00")) p.Policy.p_pool;
+  Buffer.add_char b '|';
+  List.iter ints
+    [ p.p_code; p.p_acl_off; p.p_dir_key; p.p_dir_val; p.p_path_key;
+      p.p_path_val; p.p_ex_key; p.p_ex_acl; p.p_ex_mask ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Seeds, table lengths and a digest of every program array, pinned to
+   the values the original per-trial seed search and unmemoized
+   verifier produced on this tree. *)
+let golden_program () =
+  match Policy_compile.compile (golden_fs ()) ~uid:0 with
+  | Error m -> Alcotest.failf "golden compile: %s" m
+  | Ok p ->
+    Alcotest.(check (list int)) "dir/path/exact seeds" [ 2; 38; 12 ]
+      [ p.p_dir_seed; p.p_path_seed; p.p_ex_seed ];
+    Alcotest.(check (list int)) "table lengths" [ 128; 2048; 64 ]
+      [ Array.length p.p_dir_key; Array.length p.p_path_key;
+        Array.length p.p_ex_key ];
+    Alcotest.(check string) "program digest" "bad0b7c9c9a3ffdc489d36fc1be47e3b"
+      (program_digest p)
+
 let suite =
   [
     Alcotest.test_case "bytecode = interpreter under mutation storm" `Quick
@@ -307,4 +559,13 @@ let suite =
       verifier_rejects_fail_closed;
     Alcotest.test_case "warm hit: zero delegated, below gen-check" `Quick
       warm_hit_is_cheap;
+    Alcotest.test_case "mutations charge compiles, build nothing" `Quick
+      mutations_charge_without_building;
+    Alcotest.test_case "deferred build: tamper fails closed" `Quick
+      deferred_tamper_fails_closed;
+    Alcotest.test_case "semantic tamper rejected by memoized verifier" `Quick
+      semantic_tamper_rejected;
+    Alcotest.test_case "Policy.hash pinned" `Quick hash_is_pinned;
+    Alcotest.test_case "right_bit = index in Right.all" `Quick right_bit_is_index;
+    Alcotest.test_case "golden program is byte-identical" `Quick golden_program;
   ]
