@@ -23,14 +23,6 @@ type session = {
   mutable ss_last_used : int64;
 }
 
-(* A completed non-idempotent operation, remembered for the dedup
-   window: a retry carrying the same request ID gets this response back
-   instead of a second execution. *)
-type done_op = {
-  dd_at : int64;
-  dd_response : string;  (* already encoded for the wire *)
-}
-
 (* A memoized per-directory digest, revalidated by the directory's
    (ino, generation) token: namespace changes, ACL writes and content
    writes all bump the directory generation, so a stale digest can
@@ -58,6 +50,14 @@ type parked = {
   mutable pk_extras : Idbox_net.Network.conn list;
 }
 
+(* A registry counter resolved on its first increment and held from
+   then on: the write path pays no by-name registry probe, and a counter
+   that never fires never enters the registry. *)
+type held = {
+  hd_name : string;
+  mutable hd_counter : Idbox_kernel.Metrics.counter option;
+}
+
 type t = {
   sv_kernel : Kernel.t;
   sv_net : Network.t;
@@ -69,7 +69,7 @@ type t = {
   mutable sv_revocations : Delegation.Revocations.t;
   sv_audit : Audit.t;
   sessions : (string, session) Hashtbl.t;
-  dedup : (string, done_op) Hashtbl.t;
+  dedup : Dedup.t;  (* completed request ids, for the dedup window *)
   max_sessions : int;
   max_parked : int;  (* admission bound on the parked-mutation queue *)
   session_idle_ns : int64;
@@ -92,6 +92,15 @@ type t = {
     (identity:Principal.t -> Protocol.operation -> unit) option;
   mutable geo_hook :
     (identity:Principal.t -> Protocol.operation -> unit) option;
+  m_wal_append : held;
+  m_wal_sync : held;
+  m_checkpoint : held;
+  m_snapshot : held;
+  m_dedup_evictions : held;
+  m_repl_apply : held;
+  m_geo_apply : held;
+  m_rpc : (string, Idbox_kernel.Metrics.counter) Hashtbl.t;
+      (* per operation name, resolved on first use *)
 }
 
 let addr t = t.sv_addr
@@ -101,7 +110,7 @@ let audit t = t.sv_audit
 let owner_uid t = t.sv_owner.View.uid
 let exec_count t = t.execs
 let session_count t = Hashtbl.length t.sessions
-let dedup_size t = Hashtbl.length t.dedup
+let dedup_size t = Dedup.size t.dedup
 let event_driven t = t.sv_event_driven
 let parked_ops t = Queue.length t.pending_q
 let brownout t = t.sv_brownout
@@ -126,6 +135,26 @@ let metric_add t name n =
       (Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name)
       n
 
+let held name = { hd_name = name; hd_counter = None }
+
+let hold t h =
+  match h.hd_counter with
+  | Some c -> c
+  | None ->
+    let c = Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) h.hd_name in
+    h.hd_counter <- Some c;
+    c
+
+let bump t h = Idbox_kernel.Metrics.incr (hold t h)
+
+let rpc_counter t name =
+  match Hashtbl.find_opt t.m_rpc name with
+  | Some c -> c
+  | None ->
+    let c = Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) ("chirp.rpc." ^ name) in
+    Hashtbl.replace t.m_rpc name c;
+    c
+
 let cost t = Kernel.cost t.sv_kernel
 let charge t ns = Kernel.charge t.sv_kernel ns
 
@@ -141,14 +170,14 @@ let wal_record t fields =
   let record = Wire.encode fields in
   Wal.append t.wal record;
   t.ops_since_ckpt <- t.ops_since_ckpt + 1;
-  metric t "chirp.wal.append";
+  bump t t.m_wal_append;
   charge t
     (Int64.add (cost t).Idbox_kernel.Cost.wal_append_ns
        (Idbox_kernel.Cost.copy_bytes (cost t) (String.length record)))
 
 let wal_sync t =
   Wal.sync t.wal;
-  metric t "chirp.wal.sync";
+  bump t t.m_wal_sync;
   charge t (cost t).Idbox_kernel.Cost.wal_sync_ns
 
 let rec contains_exec = function
@@ -254,7 +283,7 @@ let wire_stat_of (st : Fs.stat) =
 
 let rec serve_as t caller op =
   let open Protocol in
-  metric t ("chirp.rpc." ^ Protocol.operation_name op);
+  Idbox_kernel.Metrics.incr (rpc_counter t (Protocol.operation_name op));
   match op with
   | Batch ops ->
     (* The decoder already refuses nested batches on the wire; re-check
@@ -582,7 +611,7 @@ let snapshot_path = function
 
 (* Ship a subtree, ACLs included, as the deploying owner. *)
 let snapshot_subtree ?(recurse = true) t wire_prefix =
-  metric t "chirp.repl.snapshot";
+  bump t t.m_snapshot;
   let to_wire abs =
     match Path.strip_prefix ~prefix:t.sv_export abs with
     | Some rel -> rel
@@ -657,24 +686,11 @@ let install_entries t entries =
    journal plus a full subtree snapshot of the export.  Taking one
    truncates the log, bounding replay time. *)
 
-let snap_encode = function
-  | Snap_dir { path; acl } -> Wire.encode [ "d"; path; acl ]
-  | Snap_file { path; data } -> Wire.encode [ "f"; path; data ]
-
 let snap_decode blob =
   match Wire.decode blob with
   | Ok [ "d"; path; acl ] -> Some (Snap_dir { path; acl })
   | Ok [ "f"; path; data ] -> Some (Snap_file { path; data })
   | Ok _ | Error _ -> None
-
-let dedup_image t =
-  Hashtbl.fold
-    (fun rid d acc -> (rid, d) :: acc)
-    t.dedup []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.concat_map (fun (rid, d) ->
-         [ rid; Int64.to_string d.dd_at; d.dd_response ])
-  |> Wire.encode
 
 (* Revocation epochs ride the checkpoint as a pseudo-entry: an old
    decoder's [snap_decode] returns [None] for it (so it is skipped
@@ -686,17 +702,48 @@ let revocation_image t =
          (fun (delegator, epoch) -> [ delegator; string_of_int epoch ])
          (Delegation.Revocations.entries t.sv_revocations))
 
+let snap_fields = function
+  | Snap_dir { path; acl } -> ("d", path, acl)
+  | Snap_file { path; data } -> ("f", path, data)
+
+(* The image is [Wire.encode (journal :: revocations :: entries)], each
+   entry itself the message [kind; path; body] that [snap_decode] reads
+   back — written in one pass into a buffer sized up front, the journal
+   from the fragments it already holds. *)
+let checkpoint_blob t entries =
+  let revocations = revocation_image t in
+  let entry_size e =
+    let kind, path, body = snap_fields e in
+    Wire.field_size kind + Wire.field_size path + Wire.field_size body
+  in
+  let size =
+    List.fold_left
+      (fun acc e -> acc + Wire.framed_size (entry_size e))
+      (Wire.framed_size (Dedup.image_size t.dedup) + Wire.field_size revocations)
+      entries
+  in
+  let buf = Buffer.create size in
+  Wire.add_length buf (Dedup.image_size t.dedup);
+  Dedup.add_image t.dedup buf;
+  Wire.add_field buf revocations;
+  List.iter
+    (fun e ->
+      let kind, path, body = snap_fields e in
+      Wire.add_length buf (entry_size e);
+      Wire.add_field buf kind;
+      Wire.add_field buf path;
+      Wire.add_field buf body)
+    entries;
+  Buffer.contents buf
+
 let take_checkpoint t =
   match snapshot_subtree t "/" with
   | Error e -> Error e
   | Ok entries ->
-    let blob =
-      Wire.encode
-        (dedup_image t :: revocation_image t :: List.map snap_encode entries)
-    in
+    let blob = checkpoint_blob t entries in
     Wal.checkpoint t.wal blob;
     t.ops_since_ckpt <- 0;
-    metric t "chirp.checkpoint";
+    bump t t.m_checkpoint;
     charge t
       (Int64.mul
          (Int64.of_int (List.length entries))
@@ -743,17 +790,9 @@ let sweep_sessions t now =
    journal stays proportional to its recent write rate, not its
    lifetime. *)
 let sweep_dedup t now =
-  let dead =
-    Hashtbl.fold
-      (fun rid d acc ->
-        if Int64.sub now d.dd_at > t.dedup_window_ns then rid :: acc else acc)
-      t.dedup []
-  in
-  List.iter
-    (fun rid ->
-      metric t "chirp.dedup_evictions";
-      Hashtbl.remove t.dedup rid)
-    dead
+  let evicted = Dedup.expire t.dedup ~now ~window:t.dedup_window_ns in
+  if evicted > 0 then
+    Idbox_kernel.Metrics.add (hold t t.m_dedup_evictions) evicted
 
 (* {1 Admission control}
 
@@ -905,15 +944,15 @@ let handle t payload =
        end
        else begin
          sweep_dedup t now;
-         match Hashtbl.find_opt t.dedup req_id with
-         | Some d ->
+         match Dedup.find t.dedup req_id with
+         | Some response ->
            (* A retry of work already done: replay the recorded
               response, execute nothing. *)
            metric t "chirp.dedup_hit";
-           d.dd_response
+           response
          | None ->
            let encoded = respond (serve ()) in
-           Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
+           Dedup.add t.dedup req_id ~at:now encoded;
            if mutating then begin
              (* The dedup-journal entry is durable before the reply
                 leaves: a crash between execution and reply cannot turn
@@ -968,8 +1007,7 @@ let rec flush_batch t =
             Protocol.encode_response (execute_op t pk.pk_principal pk.pk_op)
           in
           if not (String.equal pk.pk_req_id "") then begin
-            Hashtbl.replace t.dedup pk.pk_req_id
-              { dd_at = pk.pk_now; dd_response = encoded };
+            Dedup.add t.dedup pk.pk_req_id ~at:pk.pk_now encoded;
             wal_record t
               [ "done"; pk.pk_req_id; Int64.to_string pk.pk_now; encoded ]
           end;
@@ -1091,27 +1129,27 @@ let handle_async t conn payload =
          if String.equal req_id "" then respond (execute_op t s.ss_principal op)
          else begin
            sweep_dedup t now;
-           match Hashtbl.find_opt t.dedup req_id with
-           | Some d ->
+           match Dedup.find t.dedup req_id with
+           | Some response ->
              metric t "chirp.dedup_hit";
-             respond_raw d.dd_response
+             respond_raw response
            | None ->
              let encoded =
                Protocol.encode_response (execute_op t s.ss_principal op)
              in
-             Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
+             Dedup.add t.dedup req_id ~at:now encoded;
              respond_raw encoded
          end
        end
        else if String.equal req_id "" then park ()
        else begin
          sweep_dedup t now;
-         match Hashtbl.find_opt t.dedup req_id with
-         | Some d ->
+         match Dedup.find t.dedup req_id with
+         | Some response ->
            (* A retry of work already done: replay the recorded
               response, execute nothing. *)
            metric t "chirp.dedup_hit";
-           respond_raw d.dd_response
+           respond_raw response
          | None ->
            (match Hashtbl.find_opt t.parked_ids req_id with
             | Some pk ->
@@ -1144,7 +1182,7 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       sv_revocations = Delegation.Revocations.create ();
       sv_audit = Audit.create ();
       sessions = Hashtbl.create 8;
-      dedup = Hashtbl.create 8;
+      dedup = Dedup.create ();
       max_sessions;
       max_parked = max 1 max_parked;
       session_idle_ns;
@@ -1165,6 +1203,14 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       token_counter = 0;
       mutation_hook = None;
       geo_hook = None;
+      m_wal_append = held "chirp.wal.append";
+      m_wal_sync = held "chirp.wal.sync";
+      m_checkpoint = held "chirp.checkpoint";
+      m_snapshot = held "chirp.repl.snapshot";
+      m_dedup_evictions = held "chirp.dedup_evictions";
+      m_repl_apply = held "chirp.repl.apply";
+      m_geo_apply = held "chirp.geo.apply";
+      m_rpc = Hashtbl.create 8;
     }
   in
   match Fs.mkdir_p (Kernel.fs kernel) ~uid:owner_uid sv_export with
@@ -1245,7 +1291,7 @@ let wipe_export t =
 let restart t =
   metric t "chirp.restart";
   Hashtbl.reset t.sessions;
-  Hashtbl.reset t.dedup;
+  Dedup.clear t.dedup;
   Hashtbl.reset t.boxes;
   Hashtbl.reset t.digests;
   Queue.clear t.pending_q;
@@ -1290,19 +1336,7 @@ let restart t =
              (Int64.of_int (List.length entries))
              c.Idbox_kernel.Cost.checkpoint_entry_ns);
         ignore (install_entries t entries);
-        (match Wire.decode dedup_blob with
-         | Ok fields ->
-           let rec restore = function
-             | rid :: at :: resp :: rest ->
-               (match Int64.of_string_opt at with
-                | Some dd_at ->
-                  Hashtbl.replace t.dedup rid { dd_at; dd_response = resp }
-                | None -> ());
-               restore rest
-             | _ -> ()
-           in
-           restore fields
-         | Error _ -> ())
+        Dedup.restore t.dedup dedup_blob
       | Ok [] | Error _ -> ()));
   let replayed = ref 0 in
   List.iter
@@ -1322,8 +1356,7 @@ let restart t =
          | Error _ -> ())
       | Ok [ "done"; rid; at; resp ] ->
         (match Int64.of_string_opt at with
-         | Some dd_at ->
-           Hashtbl.replace t.dedup rid { dd_at; dd_response = resp }
+         | Some at -> Dedup.add t.dedup rid ~at resp
          | None -> ())
       | Ok _ | Error _ -> ())
     rc.Wal.rc_records;
@@ -1367,7 +1400,7 @@ let epoch_entries t = Delegation.Revocations.entries t.sv_revocations
    replica reaches the same verdict the primary did — but no hook
    re-fire (replicas do not re-forward). *)
 let apply_replicated t ~identity op =
-  metric t "chirp.repl.apply";
+  bump t t.m_repl_apply;
   (* A forwarded mutation is as durable here as a client's own: logged
      and synced before it executes, so a replica crash loses nothing it
      already applied. *)
@@ -1395,17 +1428,17 @@ let apply_replicated t ~identity op =
 let apply_shipped t ~identity ~req_id op =
   let now = Kernel.now t.sv_kernel in
   sweep_dedup t now;
-  match Hashtbl.find_opt t.dedup req_id with
-  | Some d ->
+  match Dedup.find t.dedup req_id with
+  | Some response ->
     metric t "chirp.geo.dedup_hit";
-    (d.dd_response, false)
+    (response, false)
   | None ->
-    metric t "chirp.geo.apply";
+    bump t t.m_geo_apply;
     wal_record t
       [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ];
     wal_sync t;
     let encoded = Protocol.encode_response (execute_op t identity op) in
-    Hashtbl.replace t.dedup req_id { dd_at = now; dd_response = encoded };
+    Dedup.add t.dedup req_id ~at:now encoded;
     wal_record t [ "done"; req_id; Int64.to_string now; encoded ];
     wal_sync t;
     maybe_checkpoint t op;

@@ -8,7 +8,10 @@ let sum_width = 32
 let header_len = String.length magic + len_width + sum_width
 
 type t = {
-  mutable dv_log : string;  (* the byte image of the record log *)
+  mutable dv_log : string list;
+      (* the byte image of the record log, in pieces, newest first: an
+         append adds its frame without copying what is already there *)
+  mutable dv_bytes : int;  (* length of the image *)
   mutable dv_synced : int;  (* bytes covered by the last sync *)
   mutable dv_ckpt : string option;
   mutable dv_records : int;  (* records in dv_log *)
@@ -20,7 +23,8 @@ type t = {
 
 let create ?(seed = 0L) ?(profile = Fault.calm_storage) () =
   {
-    dv_log = "";
+    dv_log = [];
+    dv_bytes = 0;
     dv_synced = 0;
     dv_ckpt = None;
     dv_records = 0;
@@ -30,28 +34,57 @@ let create ?(seed = 0L) ?(profile = Fault.calm_storage) () =
     dv_profile = profile;
   }
 
+(* The whole image as one string, joined once and kept joined. *)
+let image t =
+  match t.dv_log with
+  | [] -> ""
+  | [ s ] -> s
+  | pieces ->
+    let s = String.concat "" (List.rev pieces) in
+    t.dv_log <- [ s ];
+    s
+
+let set_image t s =
+  t.dv_log <- (if String.equal s "" then [] else [ s ]);
+  t.dv_bytes <- String.length s
+
 let frame payload =
   Printf.sprintf "%s%08x%s%s" magic (String.length payload)
     (Digest.to_hex (Digest.string payload))
     payload
 
+(* The length field of the header at [pos]: exactly [len_width]
+   lowercase hex digits, the only form [frame] writes. *)
+let frame_len s pos =
+  let rec go i acc =
+    if i = len_width then Some acc
+    else
+      match s.[pos + 4 + i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - Char.code '0'))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - Char.code 'a' + 10))
+      | _ -> None
+  in
+  go 0 0
+
 let append t payload =
-  t.dv_log <- t.dv_log ^ frame payload;
+  let f = frame payload in
+  t.dv_log <- f :: t.dv_log;
+  t.dv_bytes <- t.dv_bytes + String.length f;
   t.dv_records <- t.dv_records + 1;
   t.dv_appends <- t.dv_appends + 1
 
 let sync t =
-  t.dv_synced <- String.length t.dv_log;
+  t.dv_synced <- t.dv_bytes;
   t.dv_synced_records <- t.dv_records
 
 let records t = t.dv_records
 let synced_records t = t.dv_synced_records
-let log_bytes t = String.length t.dv_log
+let log_bytes t = t.dv_bytes
 let appends t = t.dv_appends
 
 let checkpoint t blob =
   t.dv_ckpt <- Some blob;
-  t.dv_log <- "";
+  set_image t "";
   t.dv_synced <- 0;
   t.dv_records <- 0;
   t.dv_synced_records <- 0
@@ -67,7 +100,7 @@ let boundaries s from =
   let rec go pos acc =
     if pos + header_len > n then List.rev acc
     else
-      match int_of_string_opt ("0x" ^ String.sub s (pos + 4) len_width) with
+      match frame_len s pos with
       | None -> List.rev acc
       | Some len ->
         let next = pos + header_len + len in
@@ -77,28 +110,28 @@ let boundaries s from =
 
 let crash t =
   let p = t.dv_profile in
-  let n = String.length t.dv_log in
+  let log = ref (image t) in
+  let n = String.length !log in
   if n > t.dv_synced then begin
     (* Unsynced suffix: lose whole records from the end... *)
     if Fault.chance t.dv_rng p.Fault.lose_tail then begin
-      let cuts = t.dv_synced :: boundaries t.dv_log t.dv_synced in
+      let cuts = t.dv_synced :: boundaries !log t.dv_synced in
       let keep = List.nth cuts (Fault.int_below t.dv_rng (List.length cuts)) in
-      t.dv_log <- String.sub t.dv_log 0 keep
+      log := String.sub !log 0 keep
     end;
     (* ...tear the last surviving unsynced record mid-write... *)
-    let n = String.length t.dv_log in
+    let n = String.length !log in
     if n > t.dv_synced && Fault.chance t.dv_rng p.Fault.torn_write then begin
       let cut =
         t.dv_synced + 1 + Fault.int_below t.dv_rng (n - t.dv_synced)
       in
-      t.dv_log <- String.sub t.dv_log 0 (min cut n)
+      log := String.sub !log 0 (min cut n)
     end;
     (* ...and flip bytes in whatever unsynced bytes remain. *)
-    let n = String.length t.dv_log in
+    let n = String.length !log in
     if n > t.dv_synced && Fault.chance t.dv_rng p.Fault.flip then begin
-      let suffix = String.sub t.dv_log t.dv_synced (n - t.dv_synced) in
-      t.dv_log <-
-        String.sub t.dv_log 0 t.dv_synced ^ Fault.flip_bytes t.dv_rng suffix
+      let suffix = String.sub !log t.dv_synced (n - t.dv_synced) in
+      log := String.sub !log 0 t.dv_synced ^ Fault.flip_bytes t.dv_rng suffix
     end
   end
   else if Fault.chance t.dv_rng p.Fault.torn_write then begin
@@ -110,10 +143,11 @@ let crash t =
       String.init junk_len (fun _ ->
           Char.chr (Int64.to_int (Int64.logand (Fault.bits t.dv_rng) 0xffL)))
     in
-    t.dv_log <- t.dv_log ^ Printf.sprintf "%s%08x%s" magic (junk_len + 64) junk
+    log := !log ^ Printf.sprintf "%s%08x%s" magic (junk_len + 64) junk
   end;
+  set_image t !log;
   (* Whatever survived is what is on the platter now. *)
-  t.dv_synced <- String.length t.dv_log
+  t.dv_synced <- t.dv_bytes
 
 (* {1 Segment export / import}
 
@@ -133,7 +167,7 @@ let parse_segment s =
     else if pos + header_len > n then Error `Damaged
     else if not (String.equal (String.sub s pos 4) magic) then Error `Damaged
     else
-      match int_of_string_opt ("0x" ^ String.sub s (pos + 4) len_width) with
+      match frame_len s pos with
       | None -> Error `Damaged
       | Some len ->
         let body = pos + header_len in
@@ -155,7 +189,7 @@ type recovery = {
 }
 
 let recover t =
-  let s = t.dv_log in
+  let s = image t in
   let n = String.length s in
   let rec go pos acc =
     if pos >= n then (pos, List.rev acc)
@@ -163,7 +197,7 @@ let recover t =
     else if not (String.equal (String.sub s pos 4) magic) then
       (pos, List.rev acc)
     else
-      match int_of_string_opt ("0x" ^ String.sub s (pos + 4) len_width) with
+      match frame_len s pos with
       | None -> (pos, List.rev acc)
       | Some len ->
         let body = pos + header_len in
@@ -180,7 +214,7 @@ let recover t =
   (* A torn tail is one interrupted write; count it as one discarded
      record (there is no framing left to count more precisely). *)
   let torn_records = if torn_bytes > 0 then 1 else 0 in
-  t.dv_log <- String.sub s 0 valid_end;
+  set_image t (String.sub s 0 valid_end);
   t.dv_synced <- valid_end;
   t.dv_records <- List.length payloads;
   t.dv_synced_records <- t.dv_records;

@@ -1,12 +1,33 @@
+let add_length buf len =
+  Buffer.add_string buf (string_of_int len);
+  Buffer.add_char buf ':'
+
+let add_field buf field =
+  add_length buf (String.length field);
+  Buffer.add_string buf field
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+let framed_size len = digits len + 1 + len
+let field_size field = framed_size (String.length field)
+
 let encode fields =
   let buf = Buffer.create 64 in
-  List.iter
-    (fun field ->
-      Buffer.add_string buf (string_of_int (String.length field));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf field)
-    fields;
+  List.iter (add_field buf) fields;
   Buffer.contents buf
+
+(* A field length is what [add_length] writes: decimal digits, no sign,
+   no leading zero (but "0" itself), no base prefix or separator.  At
+   most 18 digits, so the value cannot overflow. *)
+let parse_length s =
+  let n = String.length s in
+  let rec go i acc =
+    if i = n then Some acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+      | _ -> None
+  in
+  if n = 0 || n > 18 || (n > 1 && s.[0] = '0') then None else go 0 0
 
 let decode s =
   let n = String.length s in
@@ -17,9 +38,8 @@ let decode s =
       | None -> Error "missing ':' after field length"
       | Some j ->
         let len_text = String.sub s i (j - i) in
-        (match int_of_string_opt len_text with
+        (match parse_length len_text with
          | None -> Error (Printf.sprintf "bad field length %S" len_text)
-         | Some len when len < 0 -> Error "negative field length"
          | Some len ->
            if j + 1 + len > n then Error "truncated field"
            else fields (j + 1 + len) (String.sub s (j + 1) len :: acc))

@@ -192,9 +192,10 @@ let build_pending t ~gen =
   match t.bc with
   | Pending g when g = gen ->
     Metrics.incr t.m_bc_build;
+    let fs = Kernel.fs t.kernel in
     (match
-       Policy_compile.compile ?tamper:t.bc_tamper (Kernel.fs t.kernel)
-         ~uid:t.sup.View.uid
+       Policy_compile.compile ?tamper:t.bc_tamper
+         ~cache:(Policy_compile.shared_cache fs) fs ~uid:t.sup.View.uid
      with
      | Ok p ->
        t.bc <- Built p;

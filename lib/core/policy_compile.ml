@@ -12,7 +12,11 @@
    churn never reach here.  The builds that do are kept cheap without
    changing one byte of their output: seed trials track occupancy in
    one stamped array per table length, and the verifier parses each
-   principal once and derives each directory's ACL once per call.
+   principal once and derives each directory's ACL once per call.  A
+   caller that compiles the same filesystem repeatedly can also hand in
+   a {!cache}, which carries exact facts from one build to the next
+   (collision witnesses, parsed ACLs); and while the filesystem has
+   never held a symlink the resolution mirrors are the identity.
 
    Anything the snapshot cannot answer as a pure function of
    (governing ACL, principal, right) is recorded as NOT COMPILED
@@ -65,7 +69,9 @@ let rights_mask rights =
 
 (* Mirror of [Enforce.canonical_parents]: resolve ancestor symlinks
    (as root, like the engine's in-memory name walk), collapse ".."
-   against the canonical prefix, leave the final component alone. *)
+   against the canonical prefix, leave the final component alone.
+   Every caller here passes a canonical path, which a filesystem that
+   has never held a symlink maps to itself. *)
 let canonical_parents fs path =
   let join_canonical resolved comp =
     if String.equal resolved "/" then "/" ^ comp else resolved ^ "/" ^ comp
@@ -90,8 +96,10 @@ let canonical_parents fs path =
             | Error _ -> go candidate rest expansions)
          | Ok _ | Error _ -> go candidate rest expansions)
   in
-  let p = Path.normalize path in
-  if String.equal p "/" then "/" else go "/" (Path.components p) 0
+  if not (Fs.ever_symlinked fs) then path
+  else
+    let p = Path.normalize path in
+    if String.equal p "/" then "/" else go "/" (Path.components p) 0
 
 (* Mirror of [Enforce.resolve_final]: chase the final component's
    symlink chain with the supervisor's uid and the shared budget. *)
@@ -106,17 +114,95 @@ let resolve_final fs ~uid path =
        | Error _ -> path)
     | Ok _ | Error _ -> path
   in
-  go (canonical_parents fs path) 0
+  if not (Fs.ever_symlinked fs) then path
+  else go (canonical_parents fs path) 0
+
+(* --- work carried between builds --------------------------------------
+
+   Everything kept here is a fact about keys or texts, never about the
+   filesystem, so no mutation can make it wrong:
+
+   - a collision witness: two keys that share a slot under one (table,
+     length, seed).  Any later trial holding both must fail, so it is
+     skipped without hashing; a trial without a live witness runs in
+     full and leaves its own.  The first seed that fits is therefore
+     the one a cold build finds.  One pair per (table, length, seed)
+     tried, whatever the key count.
+   - parsed ACLs, by file text, kept from one build to the next only:
+     a text the latest build did not read is dropped, so the memo holds
+     the live ACLs. *)
+
+type parsed_acl = {
+  pa_acl : Acl.t;
+  pa_key : string;  (* its rendering: the snapshot's interning key *)
+}
+
+type 'k witnesses = (int, ('k * 'k) option array) Hashtbl.t
+
+type cache = {
+  dir_w : string witnesses;
+  path_w : string witnesses;
+  ex_w : (string * int) witnesses;
+  mutable texts : (string, parsed_acl) Hashtbl.t;  (* read by this build *)
+  mutable texts_prev : (string, parsed_acl) Hashtbl.t;
+      (* read by the previous build; empty between builds *)
+}
+
+let create_cache () =
+  {
+    dir_w = Hashtbl.create 8;
+    path_w = Hashtbl.create 8;
+    ex_w = Hashtbl.create 8;
+    texts = Hashtbl.create 16;
+    texts_prev = Hashtbl.create 16;
+  }
+
+type Fs.memo += Compile_cache of cache
+
+let shared_cache fs =
+  match List.find_map (function Compile_cache c -> Some c | _ -> None) (Fs.memos fs) with
+  | Some c -> c
+  | None ->
+    let c = create_cache () in
+    Fs.add_memo fs (Compile_cache c);
+    c
+
+(* A build may reuse what the previous one read; what it does not read
+   is dropped when it ends.  What is kept is the parse, not the matcher
+   the verifier built on it, whose per-principal memo would otherwise
+   be held between builds for every ACL. *)
+let begin_build c =
+  let empty = c.texts_prev in
+  c.texts_prev <- c.texts;
+  c.texts <- empty
+
+let end_build c =
+  Hashtbl.reset c.texts_prev;
+  Hashtbl.filter_map_inplace
+    (fun _ pa -> Some { pa with pa_acl = Acl.of_entries (Acl.entries pa.pa_acl) })
+    c.texts
+
+let parse_acl c text =
+  match Hashtbl.find_opt c.texts text with
+  | Some pa -> pa
+  | None ->
+    let pa =
+      match Hashtbl.find_opt c.texts_prev text with
+      | Some pa -> pa
+      | None ->
+        (* Unparseable compiles as deny-all. *)
+        let acl = match Acl.of_string text with Ok a -> a | Error _ -> Acl.empty in
+        { pa_acl = acl; pa_key = Acl.to_string acl }
+    in
+    Hashtbl.replace c.texts text pa;
+    pa
 
 (* Mirror of [Enforce.read_acl_file] + [dir_acl] fail-closed rules:
    unreadable (or absent) ACL file -> no ACL; unparseable -> deny-all. *)
-let acl_of_dir fs ~uid dir =
+let acl_of_dir c fs ~uid dir =
   match Fs.read_file fs ~uid (Path.join dir Acl.filename) with
   | Error _ -> None
-  | Ok text ->
-    (match Acl.of_string text with
-     | Ok acl -> Some acl
-     | Error _ -> Some Acl.empty)
+  | Ok text -> Some (parse_acl c text)
 
 (* --- the snapshot walk ------------------------------------------------ *)
 
@@ -133,14 +219,13 @@ type snapshot = {
 
 let max_universe = Policy.max_table / 4
 
-let intern_acl snap acl =
-  let key = Acl.to_string acl in
-  match Hashtbl.find_opt snap.acl_ids key with
+let intern_acl snap { pa_acl; pa_key } =
+  match Hashtbl.find_opt snap.acl_ids pa_key with
   | Some id -> id
   | None ->
     let id = Hashtbl.length snap.acl_ids in
-    Hashtbl.replace snap.acl_ids key id;
-    snap.acls <- acl :: snap.acls;
+    Hashtbl.replace snap.acl_ids pa_key id;
+    snap.acls <- pa_acl :: snap.acls;
     id
 
 let add_dir snap path v =
@@ -152,12 +237,12 @@ let add_path snap path v =
   else Hashtbl.replace snap.paths path v
 
 (* The governing-ACL id for an object's final resolved path, or -1. *)
-let object_value fs ~uid snap final =
-  match acl_of_dir fs ~uid (Path.dirname final) with
+let object_value c fs ~uid snap final =
+  match acl_of_dir c fs ~uid (Path.dirname final) with
   | Some acl -> intern_acl snap acl
   | None -> -1
 
-let snapshot fs ~uid =
+let snapshot c fs ~uid =
   let snap =
     {
       acls = [];
@@ -170,7 +255,7 @@ let snapshot fs ~uid =
   let rec walk_dir dir =
     if snap.overflow then ()
     else
-      let own_acl = acl_of_dir fs ~uid dir in
+      let own_acl = acl_of_dir c fs ~uid dir in
       match Fs.readdir fs ~uid dir with
       | Error _ ->
         (* Cannot enumerate: children stay unknown, so neither
@@ -200,7 +285,7 @@ let snapshot fs ~uid =
                    walk_dir child
                  | Inode.Symlink ->
                    let final = resolve_final fs ~uid child in
-                   add_path snap child (object_value fs ~uid snap final);
+                   add_path snap child (object_value c fs ~uid snap final);
                    (* A symlink that lands on a directory also serves as
                       a directory alias for parent-fallback probes — but
                       only when the target's children are all plain
@@ -209,7 +294,7 @@ let snapshot fs ~uid =
                    (match Fs.lstat fs ~uid final with
                     | Ok fst when fst.Fs.st_kind = Inode.Directory ->
                       let alias_value =
-                        match (acl_of_dir fs ~uid final, Fs.readdir fs ~uid final) with
+                        match (acl_of_dir c fs ~uid final, Fs.readdir fs ~uid final) with
                         | Some a, Ok children
                           when List.for_all
                                  (fun n ->
@@ -232,7 +317,7 @@ let snapshot fs ~uid =
   (* Root is both a directory and an object governed by itself. *)
   walk_dir "/";
   if not snap.overflow then begin
-    match acl_of_dir fs ~uid "/" with
+    match acl_of_dir c fs ~uid "/" with
     | Some a -> add_path snap "/" (intern_acl snap a)
     | None -> add_path snap "/" (-1)
   end;
@@ -243,16 +328,23 @@ let snapshot fs ~uid =
 (* Try seeds until every key lands in a distinct slot: the perfect-hash
    construction.  Grows the table (up to the budget) when no seed in
    the trial window works.  A trial only needs occupancy, so each
-   length gets one mark array stamped with the trial's seed (seeds
-   start at 1: the initial 0 never reads as taken); the key/value
-   arrays are built once, for the winning seed. *)
-let build_table ~slot items =
-  let n = List.length items in
+   length gets one mark array; a slot's mark packs the trial's seed
+   (seeds start at 1: the initial 0 never reads as taken) with the
+   index of the key that took it, which names the collision witness of
+   a failed trial.  A trial whose witness keys are both [present] is
+   skipped: it would fail.  The key/value arrays are built once, for
+   the winning seed. *)
+let key_bits = 24
+let key_mask = (1 lsl key_bits) - 1
+
+let build_table ~slot ~(witness : _ witnesses) ~present items =
+  let items = Array.of_list items in
+  let n = Array.length items in
   let rec pow2 x = if x >= n * 2 && x >= 4 then x else pow2 (x * 2) in
   let place ~seed len =
     let key = Array.make len (-1) in
     let value = Array.make len (-1) in
-    List.iter
+    Array.iter
       (fun (k, pool_idx, v) ->
         let i = slot ~seed ~len k in
         key.(i) <- pool_idx;
@@ -263,28 +355,46 @@ let build_table ~slot items =
   let rec try_len len =
     if len > Policy.max_table then None
     else
+      let seen =
+        match Hashtbl.find_opt witness len with
+        | Some w -> w
+        | None ->
+          let w = Array.make 65 None in
+          Hashtbl.replace witness len w;
+          w
+      in
       let mark = Array.make len 0 in
-      let rec fits seed = function
-        | [] -> true
-        | (k, _, _) :: rest ->
-          let i = slot ~seed ~len k in
-          if mark.(i) = seed then false
-          else begin
-            mark.(i) <- seed;
-            fits seed rest
-          end
+      let rec fits seed j =
+        j = n
+        ||
+        let k, _, _ = items.(j) in
+        let i = slot ~seed ~len k in
+        if mark.(i) lsr key_bits = seed then begin
+          let first, _, _ = items.(mark.(i) land key_mask) in
+          seen.(seed) <- Some (first, k);
+          false
+        end
+        else begin
+          mark.(i) <- (seed lsl key_bits) lor j;
+          fits seed (j + 1)
+        end
+      in
+      let doomed seed =
+        match seen.(seed) with
+        | Some (a, b) -> present a && present b
+        | None -> false
       in
       let rec try_seed seed =
         if seed > 64 then try_len (len * 2)
-        else if fits seed items then place ~seed len
+        else if (not (doomed seed)) && fits seed 0 then place ~seed len
         else try_seed (seed + 1)
       in
       try_seed 1
   in
   try_len (pow2 4)
 
-let build_program fs ~uid =
-  let snap = snapshot fs ~uid in
+let build_program c fs ~uid =
+  let snap = snapshot c fs ~uid in
   if snap.overflow then Error "universe exceeds compile budget"
   else begin
     let pool = ref [] and pool_n = ref 0 in
@@ -354,11 +464,16 @@ let build_program fs ~uid =
         |> List.sort (fun (a, _, i, _) (b, _, j, _) ->
                match String.compare a b with 0 -> Int.compare i j | c -> c)
       in
+      let ex_keys = Hashtbl.create (List.length ex_items) in
+      List.iter (fun (p, _, id, _) -> Hashtbl.replace ex_keys (p, id) ()) ex_items;
       match
-        ( build_table ~slot:Policy.dir_slot dir_items,
-          build_table ~slot:Policy.path_slot path_items,
+        ( build_table ~slot:Policy.dir_slot ~witness:c.dir_w
+            ~present:(Hashtbl.mem snap.dirs) dir_items,
+          build_table ~slot:Policy.path_slot ~witness:c.path_w
+            ~present:(Hashtbl.mem snap.paths) path_items,
           build_table
             ~slot:(fun ~seed ~len (k, acl) -> Policy.ex_slot ~seed ~len ~acl k)
+            ~witness:c.ex_w ~present:(Hashtbl.mem ex_keys)
             (List.map (fun (p, pi, id, mask) -> ((p, id), pi, mask)) ex_items)
         )
       with
@@ -411,7 +526,7 @@ let prng seed =
    principal is parsed once, and each directory's ACL and each path's
    governing directory are derived at most once; the sample itself
    (seed, count, probe shapes, draw order) is unchanged by that memo. *)
-let verify fs ~uid ~seed ~samples prog snap =
+let verify c fs ~uid ~seed ~samples prog snap =
   let paths =
     Hashtbl.fold (fun k _ acc -> k :: acc) snap.paths []
     |> List.sort String.compare
@@ -453,7 +568,9 @@ let verify fs ~uid ~seed ~samples prog snap =
         Hashtbl.replace tbl key v;
         v
   in
-  let acl_of = memo (acl_of_dir fs ~uid) in
+  let acl_of =
+    memo (fun dir -> Option.map (fun pa -> pa.pa_acl) (acl_of_dir c fs ~uid dir))
+  in
   let governing = memo (fun path -> Path.dirname (resolve_final fs ~uid path)) in
   let want_in dir principal right =
     Option.map (fun acl -> Acl.check acl principal right) (acl_of dir)
@@ -521,14 +638,21 @@ let verify fs ~uid ~seed ~samples prog snap =
 
 (* --- entry point ------------------------------------------------------ *)
 
-let compile ?tamper ?(verify_seed = 0x1db0) ?(verify_samples = 256) fs ~uid =
-  match build_program fs ~uid with
-  | Error _ as e -> e
-  | Ok (prog, snap) ->
-    let prog = match tamper with Some f -> f prog | None -> prog in
-    (match Policy.check_program prog with
-     | Error msg -> Error ("verifier: " ^ msg)
-     | Ok () ->
-       (match verify fs ~uid ~seed:verify_seed ~samples:verify_samples prog snap with
-        | Error _ as e -> e
-        | Ok () -> Ok prog))
+let compile ?tamper ?(verify_seed = 0x1db0) ?(verify_samples = 256) ?cache fs
+    ~uid =
+  let c = match cache with Some c -> c | None -> create_cache () in
+  begin_build c;
+  let result =
+    match build_program c fs ~uid with
+    | Error _ as e -> e
+    | Ok (prog, snap) ->
+      let prog = match tamper with Some f -> f prog | None -> prog in
+      (match Policy.check_program prog with
+       | Error msg -> Error ("verifier: " ^ msg)
+       | Ok () ->
+         (match verify c fs ~uid ~seed:verify_seed ~samples:verify_samples prog snap with
+          | Error _ as e -> e
+          | Ok () -> Ok prog))
+  in
+  end_build c;
+  result

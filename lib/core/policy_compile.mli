@@ -24,10 +24,25 @@ val right_bit : Idbox_acl.Right.t -> int
 val rights_mask : Idbox_acl.Rights.t -> int
 (** A rights set as a program mask. *)
 
+type cache
+(** Work one build carries to the next: per (table, length, seed) the
+    two keys that collided in that seed trial, and each ACL file text
+    with its parse.  Both are facts about keys and texts, not about the
+    filesystem, so a build handed a cache produces exactly the program
+    a cold build would.  Retained size is bounded by the trials tried
+    (tables × lengths × 64 seeds, one key pair each) plus the ACL texts
+    the latest build read. *)
+
+val shared_cache : Idbox_vfs.Fs.t -> cache
+(** The one cache attached to a filesystem, created on first use: every
+    engine compiling that filesystem, whatever its uid, carries work
+    through it, and it is freed with the filesystem. *)
+
 val compile :
   ?tamper:(Idbox_kernel.Policy.t -> Idbox_kernel.Policy.t) ->
   ?verify_seed:int ->
   ?verify_samples:int ->
+  ?cache:cache ->
   Idbox_vfs.Fs.t ->
   uid:int ->
   (Idbox_kernel.Policy.t, string) result
@@ -36,6 +51,9 @@ val compile :
     into the program).  [tamper], applied between construction and
     verification, exists so tests can prove the verifier rejects
     corrupted programs.  [verify_seed] / [verify_samples] parameterize
-    the semantic sample.  The returned program carries the VFS
+    the semantic sample.  [cache] (default: a fresh one, a cold build)
+    lets repeated builds of one engine skip seed trials already known
+    to collide and ACL texts already parsed; the program is the same
+    either way.  The returned program carries the VFS
     generation it snapshot; it is valid exactly while that generation
     holds. *)

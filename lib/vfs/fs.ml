@@ -11,7 +11,13 @@ type t = {
          of the containing directory ([Enforce] registers ".__acl").
          Content writes land through file descriptors, bypassing [Fs], so
          the generation is bumped at open time instead. *)
+  mutable had_symlink : bool;
+      (* Set by the first [symlink] and never cleared: until then every
+         path names itself, so host-side resolvers may skip the chase. *)
+  mutable memos : memo list;
 }
+
+and memo = ..
 
 type stat = {
   st_ino : int;
@@ -48,11 +54,15 @@ let symlink_limit = 40
 
 let create ?(clock = fun () -> 0L) () =
   let root = Inode.make_dir ~ino:1 ~uid:0 ~mode:0o755 ~now:(clock ()) in
-  { fs_root = root; clock; next_ino = 2; fs_gen = 0; watched = None }
+  { fs_root = root; clock; next_ino = 2; fs_gen = 0; watched = None; had_symlink = false; memos = [] }
 
 let root t = t.fs_root
 
 let generation t = t.fs_gen
+
+let ever_symlinked t = t.had_symlink
+let memos t = t.memos
+let add_memo t m = t.memos <- m :: t.memos
 
 let watch_basename t name = t.watched <- Some name
 
@@ -318,6 +328,7 @@ let symlink t ~uid ~target path =
        else begin
          let l = Inode.make_symlink ~ino:(alloc_ino t) ~uid ~target ~now:(t.clock ()) in
          Inode.dir_add dir name l;
+         t.had_symlink <- true;
          Inode.set_mtime dir (t.clock ());
          note_mutation t dir;
          Ok ()

@@ -69,6 +69,22 @@ val root : t -> Inode.t
 val generation : t -> int
 (** The global mutation generation (starts at 0). *)
 
+val ever_symlinked : t -> bool
+(** True once any {!symlink} has succeeded on this filesystem, and
+    forever after (a monotone flag: unlinking the link does not clear
+    it).  While it is false no path holds a symlink, so a resolver's
+    result is the lexically normalized path and host-side mirrors may
+    skip the chase. *)
+
+type memo = ..
+(** Host-side state derived from a filesystem — a compiler's work
+    carried between builds, say — that lives exactly as long as the
+    filesystem does.  Each owner extends the type with its own
+    constructor; this module never looks inside. *)
+
+val memos : t -> memo list
+val add_memo : t -> memo -> unit
+
 val dir_token : t -> string -> (int * int) option
 (** [(ino, gen)] of the directory the path resolves to (as root,
     following symlinks), or [None] when it does not resolve to a

@@ -295,6 +295,47 @@ let warm_check_zero_registry_lookups () =
   Alcotest.(check int) "zero registry lookups across 100 warm checks" 0
     (Metrics.lookups m - l0)
 
+(* The Chirp write path holds its handles too: once the World's members
+   have served enough puts to have resolved every counter the path
+   touches (a checkpoint included: one every 128 WAL records), more puts
+   through the Router make no by-name probe of the registry the servers
+   and kernel share. *)
+let world_put_zero_registry_lookups () =
+  let module World = Idbox_cluster.World in
+  let module Router = Idbox_cluster.Router in
+  let module Kernel = Idbox_kernel.Kernel in
+  let w = World.create () in
+  List.iter
+    (fun host ->
+      match World.add_node w ~host with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ];
+  World.settle w;
+  let r =
+    match World.connect w ~credentials:[ World.issue w "Alice" ] with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Idbox_vfs.Errno.message e)
+  in
+  ok "mkdir" (Router.mkdir r "/w");
+  let put i = ok "put" (Router.put r ~path:"/w/f" ~data:(string_of_int i)) in
+  for i = 0 to 129 do
+    put i
+  done;
+  let m = Kernel.metrics (World.kernel w) in
+  let l0 = Metrics.lookups m in
+  for i = 130 to 169 do
+    put i
+  done;
+  let probes = Metrics.lookups m - l0 in
+  Alcotest.(check bool) "the puts reached the servers' WALs" true
+    (Metrics.counter_value_of m "chirp.wal.append" > 40);
+  Alcotest.(check int) "zero registry lookups across 40 warm puts" 0 probes
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick counter_basics;
@@ -312,6 +353,8 @@ let suite =
     Alcotest.test_case "kernel records syscall metrics" `Quick kernel_records;
     Alcotest.test_case "warm check: zero registry lookups" `Quick
       warm_check_zero_registry_lookups;
+    Alcotest.test_case "world put: zero registry lookups" `Quick
+      world_put_zero_registry_lookups;
     Alcotest.test_case "stats dump covers the delegation counters" `Quick
       stats_dump_covers_delegation;
   ]

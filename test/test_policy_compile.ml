@@ -25,6 +25,7 @@ module Right = Idbox_acl.Right
 module Rights = Idbox_acl.Rights
 module Principal = Idbox_identity.Principal
 module Fs = Idbox_vfs.Fs
+module Path = Idbox_vfs.Path
 module Errno = Idbox_vfs.Errno
 
 (* CI reruns the storm under extra seeds via the same knob the chaos
@@ -550,8 +551,103 @@ let golden_program () =
     Alcotest.(check string) "program digest" "bad0b7c9c9a3ffdc489d36fc1be47e3b"
       (program_digest p)
 
+(* --- carried work: a warm build is a cold build ------------------------
+
+   One filesystem mutated at random (creates, unlinks, mkdir and rmdir
+   — some spelled through "..", ACL writes including an unparseable one,
+   renames, chmods that hide a directory from the second uid, and a
+   symlink that turns the no-symlink fast path off).  After every step,
+   for two uids sharing the filesystem's one cache, the build that
+   carries witnesses and parsed ACLs equals a cold build.  A twin
+   filesystem that once held a symlink (so it never takes the fast path)
+   replays the same steps, and its cold build must match too, modulo
+   the generation the extra link and unlink moved. *)
+
+let carried_acls =
+  [|
+    Acl.to_string
+      (Acl.of_entries
+         [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rl") ]);
+    Acl.to_string
+      (Acl.of_entries
+         [ Entry.make ~pattern:"globus:/O=UnivNowhere/CN=Fred" (Rights.of_string_exn "rwlda");
+           Entry.make ~pattern:"kerberos:alice@NOWHERE.EDU" (Rights.of_string_exn "r") ]);
+    Acl.to_string
+      (Acl.of_entries
+         [ Entry.make ~pattern:"kerberos:*@NOWHERE.EDU" (Rights.of_string_exn "rwl");
+           Entry.make ~pattern:"unix:root" (Rights.of_string_exn "rwlxad") ]);
+    "not an acl ((";
+  |]
+
+(* Applies one step; true when it created a symlink. *)
+let carried_step fs (kind, a, b, c) =
+  let dir i = Printf.sprintf "/d%d" (i mod 4) in
+  let sub i j = Printf.sprintf "%s/e%d" (dir i) (j mod 3) in
+  let file i j = Printf.sprintf "%s/f%d" (if j mod 2 = 0 then dir i else sub i j) (j mod 5) in
+  let applied =
+    Result.is_ok
+    (match kind mod 9 with
+     | 0 -> Fs.write_file fs ~uid:0 (file a b) (string_of_int c)
+     | 1 -> Fs.unlink fs ~uid:0 (file a b)
+     | 2 ->
+       (* Spelled through "..": the same directory, a different string. *)
+       Result.map ignore
+         (Fs.mkdir fs ~uid:0 ~mode:0o755 (Printf.sprintf "%s/../%s" (dir b) (String.sub (sub a c) 1 5)))
+     | 3 -> Fs.rmdir fs ~uid:0 (sub a c)
+     | 4 ->
+       Fs.write_file fs ~uid:0
+         (Path.join (if c mod 2 = 0 then dir a else sub a b) Acl.filename)
+         carried_acls.(b mod Array.length carried_acls)
+     | 5 -> Fs.rename fs ~uid:0 ~src:(file a b) ~dst:(file b c)
+     | 6 -> Fs.chmod fs ~uid:0 ~mode:(if c mod 2 = 0 then 0o700 else 0o755) (dir a)
+     | 7 -> Fs.mkdir_p fs ~uid:0 (sub a b)
+     | _ ->
+       if c mod 4 = 0 then Fs.symlink fs ~uid:0 ~target:(file b c) (Printf.sprintf "%s/ln%d" (dir a) b)
+       else Fs.write_file fs ~uid:0 (file a c) "x")
+  in
+  applied && kind mod 9 = 8 && c mod 4 = 0
+
+let carried_fs ~twin =
+  let fs = Fs.create () in
+  if twin then begin
+    ok "twin link" (Fs.symlink fs ~uid:0 ~target:"/" "/once");
+    ok "twin unlink" (Fs.unlink fs ~uid:0 "/once")
+  end;
+  for i = 0 to 3 do
+    ok "carried dir" (Fs.mkdir_p fs ~uid:0 (Printf.sprintf "/d%d/e0" i))
+  done;
+  fs
+
+let carried_equals_cold =
+  let step = QCheck.Gen.(quad (int_bound 8) small_nat small_nat small_nat) in
+  QCheck.Test.make ~name:"carried-state compile = cold compile" ~count:40
+    (QCheck.make QCheck.Gen.(list_size (int_range 10 30) step))
+    (fun steps ->
+      let fs = carried_fs ~twin:false and twin = carried_fs ~twin:true in
+      let cache = Policy_compile.shared_cache fs in
+      let strip = Result.map (fun (p : Policy.t) -> { p with Policy.p_gen = 0 }) in
+      let linked = ref false in
+      List.for_all
+        (fun st ->
+          if carried_step fs st then linked := true;
+          ignore (carried_step twin st);
+          if Fs.ever_symlinked fs <> !linked || not (Fs.ever_symlinked twin) then
+            QCheck.Test.fail_report "the symlink flag is not monotone from the first link";
+          List.for_all
+            (fun uid ->
+              let cold = Policy_compile.compile fs ~uid in
+              let warm = Policy_compile.compile ~cache fs ~uid in
+              let slow = Policy_compile.compile twin ~uid in
+              if warm <> cold then QCheck.Test.fail_reportf "uid %d: carried build differs" uid;
+              if strip slow <> strip cold then
+                QCheck.Test.fail_reportf "uid %d: fast path differs from the chase" uid;
+              true)
+            [ 0; 1000 ])
+        steps)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest carried_equals_cold;
     Alcotest.test_case "bytecode = interpreter under mutation storm" `Quick
       equivalence_under_storm;
     Alcotest.test_case "chain revocation mid-storm" `Quick revocation_mid_storm;

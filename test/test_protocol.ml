@@ -34,6 +34,24 @@ let wire_rejects_garbage () =
           Alcotest.failf "%S decoded loosely" text)
     [ "5:ab"; "x:ab"; "3ab"; "-1:"; "2:ab3:c" ]
 
+(* A field length in any form but the one [Wire.encode] writes is
+   refused: each of these once decoded as "abc" through
+   [int_of_string]. *)
+let wire_length_forms =
+  [
+    ("hex prefix", "0x3:abc");
+    ("plus sign", "+3:abc");
+    ("digit separator", "0_3:abc");
+    ("leading zero", "03:abc");
+    ("binary prefix", "0b11:abc");
+    ("unsigned prefix", "0u3:abc");
+  ]
+
+let wire_rejects_length_form text () =
+  match Wire.decode text with
+  | Error _ -> ()
+  | Ok fields -> Alcotest.failf "%S decoded as [%s]" text (String.concat "; " fields)
+
 let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire roundtrip on arbitrary fields" ~count:300
     (QCheck.list_of_size (QCheck.Gen.int_range 0 6)
@@ -267,6 +285,13 @@ let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick wire_roundtrip_cases;
     Alcotest.test_case "wire rejects garbage" `Quick wire_rejects_garbage;
+  ]
+  @ List.map
+      (fun (form, text) ->
+        Alcotest.test_case ("wire rejects length: " ^ form) `Quick
+          (wire_rejects_length_form text))
+      wire_length_forms
+  @ [
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     Alcotest.test_case "request roundtrip" `Quick request_roundtrip;
     Alcotest.test_case "auth roundtrip" `Quick auth_roundtrip_all_credentials;

@@ -12,6 +12,10 @@ module Ca = Idbox_auth.Ca
 module Credential = Idbox_auth.Credential
 module Negotiate = Idbox_auth.Negotiate
 module Wal = Idbox_chirp.Wal
+module Wire = Idbox_chirp.Wire
+module Dedup = Idbox_chirp.Dedup
+module Protocol = Idbox_chirp.Protocol
+module Principal = Idbox_identity.Principal
 module Server = Idbox_chirp.Server
 module Client = Idbox_chirp.Client
 module Acl = Idbox_acl.Acl
@@ -156,11 +160,263 @@ let crash_is_deterministic () =
   Alcotest.(check int) "torn bytes identical" t1 t2;
   Alcotest.(check int) "log bytes identical" b1 b2
 
+(* --- the device against a string-append model --------------------------
+
+   The log image as one string, rebuilt by appending each frame — the
+   device as first written, kept here as the reference.  Random
+   append/sync/checkpoint/crash/recover sequences run on both under each
+   storage profile, from the same damage seed; every observable (sizes,
+   counts, checkpoint image, recovered payloads, torn accounting) must
+   agree at every step. *)
+
+module Ref_wal = struct
+  let magic = "IDBX"
+  let header_len = 44
+
+  type t = {
+    mutable log : string;
+    mutable synced : int;
+    mutable ckpt : string option;
+    mutable records : int;
+    mutable synced_records : int;
+    mutable appends : int;
+    rng : Fault.rng;
+    profile : Fault.storage_profile;
+  }
+
+  let create ~seed ~profile =
+    { log = ""; synced = 0; ckpt = None; records = 0; synced_records = 0; appends = 0;
+      rng = Fault.rng seed; profile }
+
+  let frame payload =
+    Printf.sprintf "%s%08x%s%s" magic (String.length payload)
+      (Digest.to_hex (Digest.string payload)) payload
+
+  let append t payload =
+    t.log <- t.log ^ frame payload;
+    t.records <- t.records + 1;
+    t.appends <- t.appends + 1
+
+  let sync t =
+    t.synced <- String.length t.log;
+    t.synced_records <- t.records
+
+  let checkpoint t blob =
+    t.ckpt <- Some blob;
+    t.log <- "";
+    t.synced <- 0;
+    t.records <- 0;
+    t.synced_records <- 0
+
+  let len_at s pos = int_of_string_opt ("0x" ^ String.sub s (pos + 4) 8)
+
+  let boundaries s from =
+    let n = String.length s in
+    let rec go pos acc =
+      if pos + header_len > n then List.rev acc
+      else
+        match len_at s pos with
+        | None -> List.rev acc
+        | Some len ->
+          let next = pos + header_len + len in
+          if next > n then List.rev acc else go next (next :: acc)
+    in
+    go from []
+
+  let crash t =
+    let p = t.profile in
+    let n = String.length t.log in
+    if n > t.synced then begin
+      if Fault.chance t.rng p.Fault.lose_tail then begin
+        let cuts = t.synced :: boundaries t.log t.synced in
+        t.log <- String.sub t.log 0 (List.nth cuts (Fault.int_below t.rng (List.length cuts)))
+      end;
+      let n = String.length t.log in
+      if n > t.synced && Fault.chance t.rng p.Fault.torn_write then begin
+        let cut = t.synced + 1 + Fault.int_below t.rng (n - t.synced) in
+        t.log <- String.sub t.log 0 (min cut n)
+      end;
+      let n = String.length t.log in
+      if n > t.synced && Fault.chance t.rng p.Fault.flip then
+        t.log <-
+          String.sub t.log 0 t.synced
+          ^ Fault.flip_bytes t.rng (String.sub t.log t.synced (n - t.synced))
+    end
+    else if Fault.chance t.rng p.Fault.torn_write then begin
+      let junk_len = 1 + Fault.int_below t.rng 48 in
+      let junk =
+        String.init junk_len (fun _ ->
+            Char.chr (Int64.to_int (Int64.logand (Fault.bits t.rng) 0xffL)))
+      in
+      t.log <- t.log ^ Printf.sprintf "%s%08x%s" magic (junk_len + 64) junk
+    end;
+    t.synced <- String.length t.log
+
+  let recover t =
+    let s = t.log in
+    let n = String.length s in
+    let rec go pos acc =
+      if pos + header_len > n || not (String.equal (String.sub s pos 4) magic) then (pos, List.rev acc)
+      else
+        match len_at s pos with
+        | None -> (pos, List.rev acc)
+        | Some len ->
+          let body = pos + header_len in
+          if body + len > n then (pos, List.rev acc)
+          else
+            let payload = String.sub s body len in
+            if String.equal (String.sub s (pos + 12) 32) (Digest.to_hex (Digest.string payload))
+            then go (body + len) (payload :: acc)
+            else (pos, List.rev acc)
+    in
+    let valid_end, payloads = go 0 [] in
+    let torn = n - valid_end in
+    t.log <- String.sub s 0 valid_end;
+    t.synced <- valid_end;
+    t.records <- List.length payloads;
+    t.synced_records <- t.records;
+    (t.ckpt, payloads, (if torn > 0 then 1 else 0), torn)
+end
+
+let storage_profiles =
+  [
+    ("calm", Fault.calm_storage);
+    ("torn", Fault.storage_profile ~torn_write:0.8 ());
+    ("lose", Fault.storage_profile ~lose_tail:0.8 ());
+    ("flip", Fault.storage_profile ~flip:0.8 ());
+    ("hostile", Fault.storage_profile ~torn_write:0.7 ~lose_tail:0.7 ~flip:0.5 ());
+  ]
+
+let wal_matches_string_model =
+  let step = QCheck.Gen.(pair (int_bound 9) (string_size ~gen:printable (int_bound 40))) in
+  QCheck.Test.make ~name:"WAL = string-append model under every storage profile" ~count:60
+    (QCheck.make QCheck.Gen.(pair (int_bound 1000) (list_size (int_range 5 60) step)))
+    (fun (seed, steps) ->
+      List.for_all
+        (fun (name, profile) ->
+          let seed = Int64.of_int seed in
+          let w = Wal.create ~seed ~profile () and r = Ref_wal.create ~seed ~profile in
+          let same what a b =
+            if a <> b then QCheck.Test.fail_reportf "%s: %s differs from the model" name what
+          in
+          List.iter
+            (fun (kind, payload) ->
+              (match kind with
+               | 0 | 1 | 2 | 3 ->
+                 Wal.append w payload;
+                 Ref_wal.append r payload
+               | 4 | 5 ->
+                 Wal.sync w;
+                 Ref_wal.sync r
+               | 6 ->
+                 Wal.checkpoint w ("image:" ^ payload);
+                 Ref_wal.checkpoint r ("image:" ^ payload)
+               | 7 ->
+                 Wal.crash w;
+                 Ref_wal.crash r
+               | _ ->
+                 let got = Wal.recover w in
+                 same "recovery"
+                   (got.Wal.rc_checkpoint, got.Wal.rc_records, got.Wal.rc_torn_records,
+                    got.Wal.rc_torn_bytes)
+                   (Ref_wal.recover r));
+              same "log bytes" (Wal.log_bytes w) (String.length r.Ref_wal.log);
+              same "records" (Wal.records w, Wal.synced_records w, Wal.appends w)
+                (r.Ref_wal.records, r.Ref_wal.synced_records, r.Ref_wal.appends);
+              same "checkpoint image" (Wal.checkpoint_image w) r.Ref_wal.ckpt)
+            steps;
+          Wal.crash w;
+          Ref_wal.crash r;
+          let got = Wal.recover w in
+          same "final recovery"
+            (got.Wal.rc_checkpoint, got.Wal.rc_records, got.Wal.rc_torn_records, got.Wal.rc_torn_bytes)
+            (Ref_wal.recover r);
+          true)
+        storage_profiles)
+
+(* An IDBX header length in any form but eight lowercase hex digits is
+   refused, even with a matching checksum: each of these once parsed
+   through [int_of_string]. *)
+let idbx_length_forms =
+  [ ("digit separator", "0000_003", "abc"); ("upper-case hex", "0000000A", "abcdefghij") ]
+
+let idbx_rejects_length_form header payload () =
+  let blob = "IDBX" ^ header ^ Digest.to_hex (Digest.string payload) ^ payload in
+  match Wal.parse_segment blob with
+  | Error `Damaged -> ()
+  | Ok _ -> Alcotest.failf "segment with length %S accepted" header
+
+(* --- the dedup journal against a fold-and-sort model ---------------------
+
+   The journal as first written: a table swept by a full fold, its image
+   sorted and re-encoded at each checkpoint.  Random add/expire/restart
+   sequences — times drawn a little behind the clock as well as at it,
+   the way the event-driven server records a parked operation at its
+   admission time — must give the same evictions, lookups and image
+   bytes. *)
+
+module Ref_dedup = struct
+  type t = (string, int64 * string) Hashtbl.t
+
+  let expire (t : t) ~now ~window =
+    let dead =
+      Hashtbl.fold (fun rid (at, _) acc -> if Int64.sub now at > window then rid :: acc else acc) t []
+    in
+    List.iter (Hashtbl.remove t) dead;
+    List.length dead
+
+  let image (t : t) =
+    Hashtbl.fold (fun rid d acc -> (rid, d) :: acc) t []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.concat_map (fun (rid, (at, resp)) -> [ rid; Int64.to_string at; resp ])
+    |> Wire.encode
+end
+
+let dedup_matches_reference =
+  let step = QCheck.Gen.(triple (int_bound 9) (int_bound 40) (int_bound 3_000)) in
+  QCheck.Test.make ~name:"dedup journal = fold-and-sort model" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 10 150) step))
+    (fun steps ->
+      let window = 5_000L in
+      let j = Dedup.create () and r : Ref_dedup.t = Hashtbl.create 16 in
+      let now = ref 10_000L in
+      let same what a b = if a <> b then QCheck.Test.fail_reportf "%s differs" what in
+      List.iter
+        (fun (kind, key, dt) ->
+          let rid = Printf.sprintf "c%d:%d" (key mod 3) key in
+          (match kind with
+           | 0 | 1 | 2 | 3 ->
+             (* At the clock, or up to 3 us behind it (out of order). *)
+             let at = Int64.sub !now (Int64.of_int (if kind = 0 then dt else 0)) in
+             let resp = Printf.sprintf "ok-%d-%Ld" key at in
+             Dedup.add j rid ~at resp;
+             Hashtbl.replace r rid (at, resp)
+           | 4 | 5 -> now := Int64.add !now (Int64.of_int dt)
+           | 6 | 7 ->
+             same "evictions"
+               (Dedup.expire j ~now:!now ~window)
+               (Ref_dedup.expire r ~now:!now ~window)
+           | 8 ->
+             (* Restart: the journal comes back from its image alone. *)
+             let buf = Buffer.create 64 in
+             Dedup.add_image j buf;
+             Dedup.clear j;
+             Dedup.restore j (Buffer.contents buf)
+           | _ ->
+             same "lookup" (Dedup.find j rid) (Option.map snd (Hashtbl.find_opt r rid)));
+          same "size" (Dedup.size j) (Hashtbl.length r);
+          let buf = Buffer.create 64 in
+          Dedup.add_image j buf;
+          same "image size" (Dedup.image_size j) (Buffer.length buf);
+          same "image" (Buffer.contents buf) (Ref_dedup.image r))
+        steps;
+      true)
+
 (* --- server-level ----------------------------------------------------- *)
 
 let server_addr = "wal.nowhere.edu:9094"
 
-let make_server ?wal ?checkpoint_every () =
+let make_server ?wal ?checkpoint_every ?event_driven ?dedup_window_ns () =
   let clock = Clock.create () in
   let kernel = Kernel.create ~clock () in
   let net =
@@ -186,7 +442,8 @@ let make_server ?wal ?checkpoint_every () =
   let server =
     match
       Server.create ~kernel ~net ~addr:server_addr ~owner_uid:owner.Account.uid
-        ~export:"/tmp/export" ~acceptor ~root_acl ?wal ?checkpoint_every ()
+        ~export:"/tmp/export" ~acceptor ~root_acl ?wal ?checkpoint_every
+        ?event_driven ?dedup_window_ns ()
     with
     | Ok s -> s
     | Error e -> Alcotest.fail (Errno.to_string e)
@@ -292,8 +549,115 @@ let unlogged_state_dies () =
   Alcotest.(check (list string)) "nothing else" [ "logged" ]
     (List.sort String.compare (ok "readdir" (Client.readdir c "/work")))
 
+(* The server's journal, end to end: mutations through the event-driven
+   server (recorded at admission time when the batch flushes) and
+   geo-shipped applies at the current time, a checkpoint, more of both,
+   then a crash and restart — the journal returns from the image in id
+   order and from the WAL's done records after it — and more churn with
+   the clock moving past the dedup window.  The reference is fed every
+   entry the server recorded (the done records in the WAL, the shipped
+   applies' own responses) and every sweep at the time it ran; the
+   eviction counter and each checkpoint's journal bytes must match it. *)
+let server_dedup_matches_reference () =
+  let window = 3_000_000L in
+  let wal = Wal.create () in
+  let server, net, kernel, ca =
+    make_server ~wal ~checkpoint_every:10_000 ~event_driven:true ~dedup_window_ns:window ()
+  in
+  let clock = Kernel.clock kernel in
+  let r : Ref_dedup.t = Hashtbl.create 64 in
+  let evicted = ref 0 in
+  let record ~now rid at resp =
+    evicted := !evicted + Ref_dedup.expire r ~now ~window;
+    Hashtbl.replace r rid (at, resp)
+  in
+  let fred = Principal.of_string "globus:/O=UnivNowhere/CN=Fred" in
+  let seen_done = Hashtbl.create 64 in
+  let st = Random.State.make [| 14 |] in
+  let c = ref (connect net ca) in
+  let absorb_done () =
+    List.iter
+      (fun rec_ ->
+        match Wire.decode rec_ with
+        | Ok [ "done"; rid; at; resp ] when not (Hashtbl.mem seen_done rid) ->
+          Hashtbl.replace seen_done rid ();
+          let at = Int64.of_string at in
+          (* A client mutation sweeps at its admission time, which is the
+             time its done record carries. *)
+          record ~now:at rid at resp
+        | _ -> ())
+      (Wal.recover wal).Wal.rc_records
+  in
+  ok "mkdir" (Client.mkdir !c "/j");
+  absorb_done ();
+  let geo = ref 0 in
+  let churn n =
+    for _ = 1 to n do
+      (match Random.State.int st 3 with
+       | 0 ->
+         incr geo;
+         let now = Clock.now clock in
+         let req_id = Printf.sprintf "geo-%04d" !geo in
+         let resp, fresh =
+           Server.apply_shipped server ~identity:fred ~req_id
+             (Protocol.Put { path = Printf.sprintf "/j/g%d" (!geo mod 7); data = "g" })
+         in
+         Alcotest.(check bool) "fresh apply" true fresh;
+         Hashtbl.replace seen_done req_id ();
+         record ~now req_id now resp
+       | _ ->
+         ok "put"
+           (Client.put !c ~path:(Printf.sprintf "/j/f%d" (Random.State.int st 9)) ~data:"x");
+         absorb_done ());
+      Clock.advance clock (Int64.of_int (Random.State.int st 400_000))
+    done
+  in
+  let journal () =
+    match Option.map Wire.decode (Wal.checkpoint_image wal) with
+    | Some (Ok (journal :: _)) -> journal
+    | _ -> Alcotest.fail "no decodable checkpoint image"
+  in
+  let check_image what =
+    ok "checkpoint" (Server.checkpoint_now server);
+    Alcotest.(check string) what (Ref_dedup.image r) (journal ())
+  in
+  churn 40;
+  check_image "journal after the first churn";
+  churn 40;
+  (* Recovery rebuilds the journal from the image, then from every done
+     record logged since — entries swept in between come back too. *)
+  Hashtbl.reset r;
+  (match Wire.decode (journal ()) with
+   | Ok fields ->
+     let rec go = function
+       | rid :: at :: resp :: rest ->
+         Hashtbl.replace r rid (Int64.of_string at, resp);
+         go rest
+       | _ -> ()
+     in
+     go fields
+   | Error m -> Alcotest.fail m);
+  List.iter
+    (fun rec_ ->
+      match Wire.decode rec_ with
+      | Ok [ "done"; rid; at; resp ] -> Hashtbl.replace r rid (Int64.of_string at, resp)
+      | _ -> ())
+    (Wal.recover wal).Wal.rc_records;
+  Server.crash server;
+  Server.restart server;
+  c := connect net ca;
+  churn 60;
+  check_image "journal after restart and expiry";
+  let m = Metrics.counter_value_of (Kernel.metrics kernel) "chirp.dedup_evictions" in
+  Alcotest.(check bool) "entries expired" true (!evicted > 0);
+  Alcotest.(check int) "eviction counter" !evicted m
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest wal_matches_string_model;
+    QCheck_alcotest.to_alcotest dedup_matches_reference;
+    Alcotest.test_case "server dedup journal = reference (async, restart)" `Quick
+      server_dedup_matches_reference;
     Alcotest.test_case "roundtrip" `Quick roundtrip;
     Alcotest.test_case "checkpoint truncates" `Quick checkpoint_truncates;
     Alcotest.test_case "crash respects sync barrier" `Quick
@@ -307,3 +671,8 @@ let suite =
     Alcotest.test_case "checkpoint bounds replay" `Quick checkpoint_bounds_replay;
     Alcotest.test_case "unlogged state dies" `Quick unlogged_state_dies;
   ]
+  @ List.map
+      (fun (form, header, payload) ->
+        Alcotest.test_case ("segment rejects length: " ^ form) `Quick
+          (idbx_rejects_length_form header payload))
+      idbx_length_forms
