@@ -2,34 +2,35 @@ module By_rid = Map.Make (String)
 
 type entry = {
   at : int;  (* a simulated-clock reading: non-negative, fits an int *)
+  rid : string;
   fragment : string;  (* Wire.encode [rid; at; response] *)
 }
 
-(* Entries sit in a map by request id, for lookups and the id-ordered
-   image, and in a binary min-heap of (time, id) held in two arrays, for
-   expiry.  Replacing an id leaves its old heap node behind; a node is
-   live only while the map still holds that id at that time. *)
+(* Expiry order: completion time, then request id. *)
+module By_at = Set.Make (struct
+  type t = entry
+
+  let compare a b = match Int.compare a.at b.at with 0 -> String.compare a.rid b.rid | c -> c
+end)
+
+(* Every entry sits in a map by request id, for lookups and the
+   id-ordered image, and in a set by completion time, for expiry. *)
 type t = {
   mutable by_rid : entry By_rid.t;
+  mutable by_at : By_at.t;
   mutable count : int;
   mutable bytes : int;  (* sum of fragment lengths *)
-  mutable heap_at : int array;
-  mutable heap_rid : string array;
-  mutable heap_n : int;
 }
 
-let create () =
-  { by_rid = By_rid.empty; count = 0; bytes = 0; heap_at = [||]; heap_rid = [||]; heap_n = 0 }
+let create () = { by_rid = By_rid.empty; by_at = By_at.empty; count = 0; bytes = 0 }
 
 let size t = t.count
 
 let clear t =
   t.by_rid <- By_rid.empty;
+  t.by_at <- By_at.empty;
   t.count <- 0;
-  t.bytes <- 0;
-  t.heap_at <- [||];
-  t.heap_rid <- [||];
-  t.heap_n <- 0
+  t.bytes <- 0
 
 let find t rid =
   match By_rid.find_opt rid t.by_rid with
@@ -39,82 +40,30 @@ let find t rid =
      | Ok [ _; _; response ] -> Some response
      | Ok _ | Error _ -> None)
 
-let swap t i j =
-  let a = t.heap_at.(i) and r = t.heap_rid.(i) in
-  t.heap_at.(i) <- t.heap_at.(j);
-  t.heap_rid.(i) <- t.heap_rid.(j);
-  t.heap_at.(j) <- a;
-  t.heap_rid.(j) <- r
-
-let push t at rid =
-  if t.heap_n = Array.length t.heap_at then begin
-    let cap = max 16 (2 * t.heap_n) in
-    let grow a fill = Array.append a (Array.make (cap - t.heap_n) fill) in
-    t.heap_at <- grow t.heap_at 0;
-    t.heap_rid <- grow t.heap_rid ""
-  end;
-  let rec up i =
-    let parent = (i - 1) / 2 in
-    if i > 0 && t.heap_at.(i) < t.heap_at.(parent) then begin
-      swap t i parent;
-      up parent
-    end
-  in
-  t.heap_at.(t.heap_n) <- at;
-  t.heap_rid.(t.heap_n) <- rid;
-  t.heap_n <- t.heap_n + 1;
-  up (t.heap_n - 1)
-
-let pop t =
-  t.heap_n <- t.heap_n - 1;
-  swap t 0 t.heap_n;
-  t.heap_rid.(t.heap_n) <- "";
-  let rec down i =
-    let l = (2 * i) + 1 in
-    let r = l + 1 in
-    let least = if l < t.heap_n && t.heap_at.(l) < t.heap_at.(i) then l else i in
-    let least = if r < t.heap_n && t.heap_at.(r) < t.heap_at.(least) then r else least in
-    if least <> i then begin
-      swap t i least;
-      down least
-    end
-  in
-  down 0
-
-let remove t rid e =
-  t.by_rid <- By_rid.remove rid t.by_rid;
+let remove t e =
+  t.by_rid <- By_rid.remove e.rid t.by_rid;
+  t.by_at <- By_at.remove e t.by_at;
   t.count <- t.count - 1;
   t.bytes <- t.bytes - String.length e.fragment
 
 let add t rid ~at response =
-  (match By_rid.find_opt rid t.by_rid with Some e -> remove t rid e | None -> ());
-  let at_text = Int64.to_string at in
-  let fragment = Wire.encode [ rid; at_text; response ] in
-  let at = Int64.to_int at in
-  t.by_rid <- By_rid.add rid { at; fragment } t.by_rid;
+  (match By_rid.find_opt rid t.by_rid with Some e -> remove t e | None -> ());
+  let fragment = Wire.encode [ rid; Int64.to_string at; response ] in
+  let e = { at = Int64.to_int at; rid; fragment } in
+  t.by_rid <- By_rid.add rid e t.by_rid;
+  t.by_at <- By_at.add e t.by_at;
   t.count <- t.count + 1;
-  t.bytes <- t.bytes + String.length fragment;
-  push t at rid
+  t.bytes <- t.bytes + String.length e.fragment
 
 (* [now - at > window] holds for a prefix of the time order, so expiry
-   stops at the first live entry that stays. *)
+   stops at the first entry that stays. *)
 let expire t ~now ~window =
   let rec go evicted =
-    if t.heap_n = 0 then evicted
-    else
-      let at = t.heap_at.(0) and rid = t.heap_rid.(0) in
-      match By_rid.find_opt rid t.by_rid with
-      | Some e when e.at = at ->
-        if Int64.sub now (Int64.of_int at) > window then begin
-          pop t;
-          remove t rid e;
-          go (evicted + 1)
-        end
-        else evicted
-      | Some _ | None ->
-        (* A node left behind by a replaced (or already expired) id. *)
-        pop t;
-        go evicted
+    match By_at.min_elt_opt t.by_at with
+    | Some e when Int64.sub now (Int64.of_int e.at) > window ->
+      remove t e;
+      go (evicted + 1)
+    | Some _ | None -> evicted
   in
   go 0
 

@@ -50,14 +50,6 @@ type parked = {
   mutable pk_extras : Idbox_net.Network.conn list;
 }
 
-(* A registry counter resolved on its first increment and held from
-   then on: the write path pays no by-name registry probe, and a counter
-   that never fires never enters the registry. *)
-type held = {
-  hd_name : string;
-  mutable hd_counter : Idbox_kernel.Metrics.counter option;
-}
-
 type t = {
   sv_kernel : Kernel.t;
   sv_net : Network.t;
@@ -92,15 +84,8 @@ type t = {
     (identity:Principal.t -> Protocol.operation -> unit) option;
   mutable geo_hook :
     (identity:Principal.t -> Protocol.operation -> unit) option;
-  m_wal_append : held;
-  m_wal_sync : held;
-  m_checkpoint : held;
-  m_snapshot : held;
-  m_dedup_evictions : held;
-  m_repl_apply : held;
-  m_geo_apply : held;
-  m_rpc : (string, Idbox_kernel.Metrics.counter) Hashtbl.t;
-      (* per operation name, resolved on first use *)
+  counters : (string, Idbox_kernel.Metrics.counter) Hashtbl.t;
+      (* registry counters by name, resolved on first increment *)
 }
 
 let addr t = t.sv_addr
@@ -125,35 +110,21 @@ let sessions t =
 
 let delegate t req = Kernel.delegate t.sv_kernel t.sv_owner req
 
-let metric t name =
-  Idbox_kernel.Metrics.incr
-    (Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name)
+(* A registry counter is resolved on its first increment and held from
+   then on: serving pays no by-name registry probe, and a counter that
+   never fires never enters the registry. *)
+let counter t name =
+  match Hashtbl.find_opt t.counters name with
+  | Some c -> c
+  | None ->
+    let c = Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name in
+    Hashtbl.replace t.counters name c;
+    c
+
+let metric t name = Idbox_kernel.Metrics.incr (counter t name)
 
 let metric_add t name n =
-  if n > 0 then
-    Idbox_kernel.Metrics.add
-      (Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) name)
-      n
-
-let held name = { hd_name = name; hd_counter = None }
-
-let hold t h =
-  match h.hd_counter with
-  | Some c -> c
-  | None ->
-    let c = Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) h.hd_name in
-    h.hd_counter <- Some c;
-    c
-
-let bump t h = Idbox_kernel.Metrics.incr (hold t h)
-
-let rpc_counter t name =
-  match Hashtbl.find_opt t.m_rpc name with
-  | Some c -> c
-  | None ->
-    let c = Idbox_kernel.Metrics.counter (Kernel.metrics t.sv_kernel) ("chirp.rpc." ^ name) in
-    Hashtbl.replace t.m_rpc name c;
-    c
+  if n > 0 then Idbox_kernel.Metrics.add (counter t name) n
 
 let cost t = Kernel.cost t.sv_kernel
 let charge t ns = Kernel.charge t.sv_kernel ns
@@ -170,14 +141,14 @@ let wal_record t fields =
   let record = Wire.encode fields in
   Wal.append t.wal record;
   t.ops_since_ckpt <- t.ops_since_ckpt + 1;
-  bump t t.m_wal_append;
+  metric t "chirp.wal.append";
   charge t
     (Int64.add (cost t).Idbox_kernel.Cost.wal_append_ns
        (Idbox_kernel.Cost.copy_bytes (cost t) (String.length record)))
 
 let wal_sync t =
   Wal.sync t.wal;
-  bump t t.m_wal_sync;
+  metric t "chirp.wal.sync";
   charge t (cost t).Idbox_kernel.Cost.wal_sync_ns
 
 let rec contains_exec = function
@@ -283,7 +254,7 @@ let wire_stat_of (st : Fs.stat) =
 
 let rec serve_as t caller op =
   let open Protocol in
-  Idbox_kernel.Metrics.incr (rpc_counter t (Protocol.operation_name op));
+  metric t ("chirp.rpc." ^ Protocol.operation_name op);
   match op with
   | Batch ops ->
     (* The decoder already refuses nested batches on the wire; re-check
@@ -611,7 +582,7 @@ let snapshot_path = function
 
 (* Ship a subtree, ACLs included, as the deploying owner. *)
 let snapshot_subtree ?(recurse = true) t wire_prefix =
-  bump t t.m_snapshot;
+  metric t "chirp.repl.snapshot";
   let to_wire abs =
     match Path.strip_prefix ~prefix:t.sv_export abs with
     | Some rel -> rel
@@ -743,7 +714,7 @@ let take_checkpoint t =
     let blob = checkpoint_blob t entries in
     Wal.checkpoint t.wal blob;
     t.ops_since_ckpt <- 0;
-    bump t t.m_checkpoint;
+    metric t "chirp.checkpoint";
     charge t
       (Int64.mul
          (Int64.of_int (List.length entries))
@@ -791,8 +762,7 @@ let sweep_sessions t now =
    lifetime. *)
 let sweep_dedup t now =
   let evicted = Dedup.expire t.dedup ~now ~window:t.dedup_window_ns in
-  if evicted > 0 then
-    Idbox_kernel.Metrics.add (hold t t.m_dedup_evictions) evicted
+  metric_add t "chirp.dedup_evictions" evicted
 
 (* {1 Admission control}
 
@@ -1203,14 +1173,7 @@ let create ~kernel ~net ~addr ~owner_uid ~export ~acceptor ?root_acl
       token_counter = 0;
       mutation_hook = None;
       geo_hook = None;
-      m_wal_append = held "chirp.wal.append";
-      m_wal_sync = held "chirp.wal.sync";
-      m_checkpoint = held "chirp.checkpoint";
-      m_snapshot = held "chirp.repl.snapshot";
-      m_dedup_evictions = held "chirp.dedup_evictions";
-      m_repl_apply = held "chirp.repl.apply";
-      m_geo_apply = held "chirp.geo.apply";
-      m_rpc = Hashtbl.create 8;
+      counters = Hashtbl.create 32;
     }
   in
   match Fs.mkdir_p (Kernel.fs kernel) ~uid:owner_uid sv_export with
@@ -1400,7 +1363,7 @@ let epoch_entries t = Delegation.Revocations.entries t.sv_revocations
    replica reaches the same verdict the primary did — but no hook
    re-fire (replicas do not re-forward). *)
 let apply_replicated t ~identity op =
-  bump t t.m_repl_apply;
+  metric t "chirp.repl.apply";
   (* A forwarded mutation is as durable here as a client's own: logged
      and synced before it executes, so a replica crash loses nothing it
      already applied. *)
@@ -1433,7 +1396,7 @@ let apply_shipped t ~identity ~req_id op =
     metric t "chirp.geo.dedup_hit";
     (response, false)
   | None ->
-    bump t t.m_geo_apply;
+    metric t "chirp.geo.apply";
     wal_record t
       [ "op"; Principal.to_string identity; Protocol.operation_to_wire op ];
     wal_sync t;

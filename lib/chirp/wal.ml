@@ -188,8 +188,8 @@ type recovery = {
   rc_torn_bytes : int;
 }
 
-let recover t =
-  let s = image t in
+(* The intact prefix of an image: where it ends, and its payloads. *)
+let scan s =
   let n = String.length s in
   let rec go pos acc =
     if pos >= n then (pos, List.rev acc)
@@ -209,8 +209,14 @@ let recover t =
             go (body + len) (payload :: acc)
           else (pos, List.rev acc)
   in
-  let valid_end, payloads = go 0 [] in
-  let torn_bytes = n - valid_end in
+  go 0 []
+
+let logged_records t = snd (scan (image t))
+
+let recover t =
+  let s = image t in
+  let valid_end, payloads = scan s in
+  let torn_bytes = String.length s - valid_end in
   (* A torn tail is one interrupted write; count it as one discarded
      record (there is no framing left to count more precisely). *)
   let torn_records = if torn_bytes > 0 then 1 else 0 in

@@ -72,6 +72,10 @@ type recovery = {
   rc_torn_bytes : int;  (** Bytes of garbage truncated from the tail. *)
 }
 
+val logged_records : t -> string list
+(** The payloads {!recover} would return now, in append order, without
+    truncating anything or changing what counts as synced. *)
+
 val recover : t -> recovery
 (** Parse the device, truncate any torn tail, and return the surviving
     state.  After recovery the device continues from the valid prefix:

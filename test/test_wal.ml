@@ -315,7 +315,9 @@ let wal_matches_string_model =
                  Wal.crash w;
                  Ref_wal.crash r
                | _ ->
+                 let peek = Wal.logged_records w in
                  let got = Wal.recover w in
+                 same "logged records" peek got.Wal.rc_records;
                  same "recovery"
                    (got.Wal.rc_checkpoint, got.Wal.rc_records, got.Wal.rc_torn_records,
                     got.Wal.rc_torn_bytes)
@@ -323,7 +325,9 @@ let wal_matches_string_model =
               same "log bytes" (Wal.log_bytes w) (String.length r.Ref_wal.log);
               same "records" (Wal.records w, Wal.synced_records w, Wal.appends w)
                 (r.Ref_wal.records, r.Ref_wal.synced_records, r.Ref_wal.appends);
-              same "checkpoint image" (Wal.checkpoint_image w) r.Ref_wal.ckpt)
+              same "checkpoint image" (Wal.checkpoint_image w) r.Ref_wal.ckpt;
+              (* A peek between steps must leave nothing for the model to see. *)
+              ignore (Wal.logged_records w))
             steps;
           Wal.crash w;
           Ref_wal.crash r;
@@ -586,7 +590,7 @@ let server_dedup_matches_reference () =
              time its done record carries. *)
           record ~now:at rid at resp
         | _ -> ())
-      (Wal.recover wal).Wal.rc_records
+      (Wal.logged_records wal)
   in
   ok "mkdir" (Client.mkdir !c "/j");
   absorb_done ();
@@ -642,7 +646,7 @@ let server_dedup_matches_reference () =
       match Wire.decode rec_ with
       | Ok [ "done"; rid; at; resp ] -> Hashtbl.replace r rid (Int64.of_string at, resp)
       | _ -> ())
-    (Wal.recover wal).Wal.rc_records;
+    (Wal.logged_records wal);
   Server.crash server;
   Server.restart server;
   c := connect net ca;
