@@ -1,6 +1,5 @@
 module Network = Idbox_net.Network
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 
 type entry = {
   name : string;
@@ -19,7 +18,7 @@ type t = {
 
 let addr t = t.ct_addr
 
-let metric t name = Metrics.incr (Metrics.counter (Network.metrics t.ct_net) name)
+let metric t name = Network.count t.ct_net name
 
 (* Forget servers that have not checked in for [staleness_ns]: a server
    cut off by a partition (or simply gone) stops being advertised, and

@@ -1,7 +1,6 @@
 module Network = Idbox_net.Network
 module Fault = Idbox_net.Fault
 module Breaker = Idbox_net.Breaker
-module Metrics = Idbox_kernel.Metrics
 module Clock = Idbox_kernel.Clock
 module Errno = Idbox_vfs.Errno
 module Path = Idbox_vfs.Path
@@ -65,8 +64,7 @@ let retries t = t.cl_retries
 let budget_left t = t.cl_budget
 let breaker t = t.cl_breaker
 
-let metric_on net name = Metrics.incr (Metrics.counter (Network.metrics net) name)
-let metric t name = metric_on t.cl_net name
+let metric t name = Network.count t.cl_net name
 
 let leases_on t = Int64.compare t.cl_policy.lease_ns 0L > 0
 
@@ -126,7 +124,7 @@ let auth_exchange net ~src ~policy ~rng ~addr ~credentials =
   let payload = Protocol.encode_request (Protocol.Auth credentials) in
   let rec go attempt =
     let retry ?(shed = false) () =
-      metric_on net (if shed then "chirp.retry.shed" else "chirp.retry");
+      Network.count net (if shed then "chirp.retry.shed" else "chirp.retry");
       Clock.advance (Network.clock net) (backoff_ns policy rng attempt);
       go (attempt + 1)
     in

@@ -26,6 +26,10 @@ let create () = { by_rid = By_rid.empty; by_at = By_at.empty; count = 0; bytes =
 
 let size t = t.count
 
+(* The maps are persistent: a copy shares them and later changes to
+   either side leave the other as it was. *)
+let copy t = { t with count = t.count }
+
 let clear t =
   t.by_rid <- By_rid.empty;
   t.by_at <- By_at.empty;

@@ -15,6 +15,10 @@ val create : unit -> t
 
 val size : t -> int
 
+val copy : t -> t
+(** An independent journal with the same entries, in O(1): nothing done
+    to one afterwards shows in the other. *)
+
 val find : t -> string -> string option
 (** The recorded response for a request id. *)
 

@@ -378,17 +378,7 @@ let rec serve_as t caller op =
              match delegate t (Syscall.Open { path = abs; flags = Fs.rdonly; mode = 0 }) with
              | Error e -> err e
              | Ok (Syscall.Int fd) ->
-               let buf = Buffer.create 65536 in
-               let rec slurp () =
-                 match delegate t (Syscall.Read { fd; len = 65536 }) with
-                 | Ok (Syscall.Data "") -> Ok (Buffer.contents buf)
-                 | Ok (Syscall.Data chunk) ->
-                   Buffer.add_string buf chunk;
-                   slurp ()
-                 | Ok _ -> Error Errno.EINVAL
-                 | Error e -> Error e
-               in
-               let res = slurp () in
+               let res = Syscall.read_to_end (delegate t) ~fd ~chunk:65536 in
                ignore (delegate t (Syscall.Close fd));
                (match res with Ok data -> R_data data | Error e -> err e)
              | Ok _ -> err Errno.EINVAL))
@@ -681,8 +671,7 @@ let snap_fields = function
    entry itself the message [kind; path; body] that [snap_decode] reads
    back — written in one pass into a buffer sized up front, the journal
    from the fragments it already holds. *)
-let checkpoint_blob t entries =
-  let revocations = revocation_image t in
+let checkpoint_blob ~dedup ~revocations entries =
   let entry_size e =
     let kind, path, body = snap_fields e in
     Wire.field_size kind + Wire.field_size path + Wire.field_size body
@@ -690,12 +679,12 @@ let checkpoint_blob t entries =
   let size =
     List.fold_left
       (fun acc e -> acc + Wire.framed_size (entry_size e))
-      (Wire.framed_size (Dedup.image_size t.dedup) + Wire.field_size revocations)
+      (Wire.framed_size (Dedup.image_size dedup) + Wire.field_size revocations)
       entries
   in
   let buf = Buffer.create size in
-  Wire.add_length buf (Dedup.image_size t.dedup);
-  Dedup.add_image t.dedup buf;
+  Wire.add_length buf (Dedup.image_size dedup);
+  Dedup.add_image dedup buf;
   Wire.add_field buf revocations;
   List.iter
     (fun e ->
@@ -707,12 +696,15 @@ let checkpoint_blob t entries =
     entries;
   Buffer.contents buf
 
+(* The walk runs (and is charged) now; the image is encoded only when
+   recovery reads it, from the walk's entries, a copy of the journal and
+   the revocation image — none of which a later mutation can change. *)
 let take_checkpoint t =
   match snapshot_subtree t "/" with
   | Error e -> Error e
   | Ok entries ->
-    let blob = checkpoint_blob t entries in
-    Wal.checkpoint t.wal blob;
+    let dedup = Dedup.copy t.dedup and revocations = revocation_image t in
+    Wal.checkpoint_deferred t.wal (lazy (checkpoint_blob ~dedup ~revocations entries));
     t.ops_since_ckpt <- 0;
     metric t "chirp.checkpoint";
     charge t

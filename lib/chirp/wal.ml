@@ -13,7 +13,9 @@ type t = {
          append adds its frame without copying what is already there *)
   mutable dv_bytes : int;  (* length of the image *)
   mutable dv_synced : int;  (* bytes covered by the last sync *)
-  mutable dv_ckpt : string option;
+  mutable dv_ckpt : string Lazy.t option;
+      (* encoded on first read: taking a checkpoint need not pay for an
+         image that only recovery looks at *)
   mutable dv_records : int;  (* records in dv_log *)
   mutable dv_synced_records : int;
   mutable dv_appends : int;  (* lifetime appends, across checkpoints *)
@@ -82,14 +84,15 @@ let synced_records t = t.dv_synced_records
 let log_bytes t = t.dv_bytes
 let appends t = t.dv_appends
 
-let checkpoint t blob =
-  t.dv_ckpt <- Some blob;
+let checkpoint_deferred t image =
+  t.dv_ckpt <- Some image;
   set_image t "";
   t.dv_synced <- 0;
   t.dv_records <- 0;
   t.dv_synced_records <- 0
 
-let checkpoint_image t = t.dv_ckpt
+let checkpoint t blob = checkpoint_deferred t (Lazy.from_val blob)
+let checkpoint_image t = Option.map Lazy.force t.dv_ckpt
 
 (* The record boundaries within [s] starting at [from] — used to cut
    the unsynced suffix at a boundary (lost records) or inside a record
@@ -225,7 +228,7 @@ let recover t =
   t.dv_records <- List.length payloads;
   t.dv_synced_records <- t.dv_records;
   {
-    rc_checkpoint = t.dv_ckpt;
+    rc_checkpoint = checkpoint_image t;
     rc_records = payloads;
     rc_torn_records = torn_records;
     rc_torn_bytes = torn_bytes;

@@ -54,8 +54,14 @@ val checkpoint : t -> string -> unit
     the record log.  Modelled as atomic (write-temp + rename): a crash
     never observes half a checkpoint. *)
 
+val checkpoint_deferred : t -> string Lazy.t -> unit
+(** {!checkpoint} with the image encoded on first read, by
+    {!checkpoint_image} or {!recover}.  The caller builds [image] from
+    values that later mutations cannot change, so the bytes are those
+    an eager {!checkpoint} at this point would have written. *)
+
 val checkpoint_image : t -> string option
-(** The current checkpoint image, if any. *)
+(** The current checkpoint image, if any (forcing a deferred one). *)
 
 val crash : t -> unit
 (** Apply seeded crash damage per the device's storage profile.  Only

@@ -10,10 +10,31 @@ let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
 let framed_size len = digits len + 1 + len
 let field_size field = framed_size (String.length field)
 
+(* Write [n]'s decimal digits so that the last lands at [i]. *)
+let rec put_digits b i n =
+  Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits b (i - 1) (n / 10)
+
+(* Write [field]'s header and body at [pos]; returns the end. *)
+let blit_field b pos field =
+  let len = String.length field in
+  let body = pos + digits len + 1 in
+  put_digits b (body - 2) len;
+  Bytes.unsafe_set b (body - 1) ':';
+  Bytes.unsafe_blit_string field 0 b body len;
+  body + len
+
+let rec encoded_size acc = function [] -> acc | f :: rest -> encoded_size (acc + field_size f) rest
+
+let rec blit_fields b pos = function
+  | [] -> ()
+  | f :: rest -> blit_fields b (blit_field b pos f) rest
+
+(* One allocation of exactly the encoded size, each byte written once. *)
 let encode fields =
-  let buf = Buffer.create 64 in
-  List.iter (add_field buf) fields;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_size 0 fields) in
+  blit_fields b 0 fields;
+  Bytes.unsafe_to_string b
 
 (* A field length is what [add_length] writes: decimal digits, no sign,
    no leading zero (but "0" itself), no base prefix or separator.  At

@@ -1,5 +1,4 @@
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Trace = Idbox_kernel.Trace
 module Network = Idbox_net.Network
 
@@ -74,8 +73,7 @@ let decisions t = List.rev t.a_history
 let grows t = t.a_grows
 let shrinks t = t.a_shrinks
 
-let metric t name =
-  Metrics.incr (Metrics.counter (Network.metrics (World.net t.a_world)) name)
+let metric t name = Network.count (World.net t.a_world) name
 
 let span t ~node ~verdict =
   match t.a_trace with

@@ -21,7 +21,6 @@
    been reconciled. *)
 
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Network = Idbox_net.Network
 module Breaker = Idbox_net.Breaker
 module Fault = Idbox_net.Fault
@@ -73,7 +72,7 @@ type t = {
 let geo_host name = "geo." ^ name ^ ".grid.edu"
 let geo_addr name = geo_host name ^ ":9098"
 
-let metric t m = Metrics.incr (Metrics.counter (Network.metrics t.g_net) m)
+let metric t m = Network.count t.g_net m
 let now t = Clock.now t.g_clock
 
 let region_opt t name =

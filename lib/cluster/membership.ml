@@ -1,6 +1,5 @@
 module Network = Idbox_net.Network
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Catalog = Idbox_chirp.Catalog
 
 type liveness = Alive | Suspect | Dead
@@ -70,8 +69,7 @@ let health t =
 let health_of t name =
   List.find_opt (fun nh -> String.equal nh.nh_name name) (health t)
 
-let metric t name =
-  Metrics.incr (Metrics.counter (Network.metrics t.mb_net) name)
+let metric t name = Network.count t.mb_net name
 
 let refresh t =
   match

@@ -1,6 +1,5 @@
 module Network = Idbox_net.Network
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Server = Idbox_chirp.Server
 module Wire = Idbox_chirp.Wire
 module Errno = Idbox_vfs.Errno
@@ -22,8 +21,7 @@ let attach ?(interval_ns = 30_000_000_000L) node =
     rp_heal_pending = false;
   }
 
-let metric t m =
-  Metrics.incr (Metrics.counter (Network.metrics (Replica.net t.rp_node)) m)
+let metric t m = Network.count (Replica.net t.rp_node) m
 
 let call t ~addr payload =
   Network.call (Replica.net t.rp_node)

@@ -2,7 +2,6 @@ module Network = Idbox_net.Network
 module Fault = Idbox_net.Fault
 module Breaker = Idbox_net.Breaker
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Trace = Idbox_kernel.Trace
 module Server = Idbox_chirp.Server
 module Protocol = Idbox_chirp.Protocol
@@ -81,8 +80,7 @@ let net node = node.nd_net
 let replicas node = node.nd_replicas
 let fwd_timeout_ns node = node.nd_fwd_timeout_ns
 
-let metric node m =
-  Metrics.incr (Metrics.counter (Network.metrics node.nd_net) m)
+let metric node m = Network.count node.nd_net m
 
 (* {1 The pending-repair set}
 
@@ -380,8 +378,7 @@ let detach node =
 
 let rebalance net ?(src = "client") ?timeout_ns ~before ~after ~old_view
     ~new_view ~replicas ~prefixes () =
-  let metrics = Network.metrics net in
-  let count m = Metrics.incr (Metrics.counter metrics m) in
+  let count = Network.count net in
   let addr_in view n = List.assoc_opt n view in
   (* Pull a snapshot of [prefix] from any reachable member of [sources]
      and install it on each of [targets]. *)

@@ -1,6 +1,5 @@
 module Network = Idbox_net.Network
 module Clock = Idbox_kernel.Clock
-module Metrics = Idbox_kernel.Metrics
 module Trace = Idbox_kernel.Trace
 module Client = Idbox_chirp.Client
 module Protocol = Idbox_chirp.Protocol
@@ -63,8 +62,7 @@ let routes t = t.rt_routes
 let failovers t = t.rt_failovers
 let inflight t = t.rt_inflight
 
-let metric t name =
-  Metrics.incr (Metrics.counter (Network.metrics t.rt_net) name)
+let metric t name = Network.count t.rt_net name
 
 let settle t fl =
   if not fl.fl_counted then begin

@@ -198,8 +198,8 @@ let impl_file t (view : View.t) req : Syscall.result option =
        if not f.Fd_table.flags.Fs.rd then some (Error Errno.EBADF)
        else begin
          let data = Inode.read f.Fd_table.inode ~off:f.Fd_table.pos ~len in
-         f.Fd_table.pos <- f.Fd_table.pos + Bytes.length data;
-         some (Ok (Syscall.Data (Bytes.to_string data)))
+         f.Fd_table.pos <- f.Fd_table.pos + String.length data;
+         some (Ok (Syscall.Data data))
        end)
   | Syscall.Write { fd; data } ->
     (match Fd_table.find view.View.fds fd with
@@ -223,8 +223,7 @@ let impl_file t (view : View.t) req : Syscall.result option =
        if not f.Fd_table.flags.Fs.rd then some (Error Errno.EBADF)
        else if off < 0 then some (Error Errno.EINVAL)
        else
-         let data = Inode.read f.Fd_table.inode ~off ~len in
-         some (Ok (Syscall.Data (Bytes.to_string data))))
+         some (Ok (Syscall.Data (Inode.read f.Fd_table.inode ~off ~len))))
   | Syscall.Pwrite { fd; off; data } ->
     (match Fd_table.find view.View.fds fd with
      | None -> some (Error Errno.EBADF)

@@ -131,17 +131,7 @@ let compute_us us = compute (Int64.of_float (us *. 1e3))
 
 let block_size = 8192
 
-let read_all fd =
-  let buf = Buffer.create block_size in
-  let rec loop () =
-    match read fd ~len:block_size with
-    | Error e -> Error e
-    | Ok "" -> Ok (Buffer.contents buf)
-    | Ok chunk ->
-      Buffer.add_string buf chunk;
-      loop ()
-  in
-  loop ()
+let read_all fd = Syscall.read_to_end sys ~fd ~chunk:block_size
 
 let write_string fd s =
   match write fd s with

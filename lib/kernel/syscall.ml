@@ -264,6 +264,17 @@ let result_words = function
   | Ok (Wait_v _) -> 2
   | Ok (Fd_pair _) -> 2
 
+let read_to_end submit ~fd ~chunk =
+  let rec more acc =
+    match submit (Read { fd; len = chunk }) with
+    | Ok (Data "") ->
+      Ok (match acc with [ c ] -> c | cs -> String.concat "" (List.rev cs))
+    | Ok (Data c) -> more (c :: acc)
+    | Ok _ -> Error Idbox_vfs.Errno.EINVAL
+    | Error e -> Error e
+  in
+  more []
+
 let pp_request ppf req = Format.pp_print_string ppf (name req)
 
 let pp_value ppf = function

@@ -109,6 +109,14 @@ val argument_words : request -> int
 val result_words : result -> int
 (** Machine words a tracer must poke to inject the result. *)
 
+val read_to_end :
+  (request -> result) -> fd:int -> chunk:int -> (string, Idbox_vfs.Errno.t) Stdlib.result
+(** Read [fd] from its position to end-of-file through [submit], one
+    [Read { fd; len = chunk }] at a time until one returns no bytes.  A
+    file read in one chunk comes back as that chunk, uncopied; only a
+    file spanning several chunks is joined.  The first error ends the
+    read; a non-[Data] reply is [EINVAL]. *)
+
 val pp_request : Format.formatter -> request -> unit
 val pp_value : Format.formatter -> value -> unit
 val pp_result : Format.formatter -> result -> unit

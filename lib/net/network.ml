@@ -171,6 +171,8 @@ let interned t name =
     Hashtbl.replace t.nw_counters name c;
     c
 
+let count t name = Metrics.incr (interned t name)
+
 let fresh_stats () = { calls = 0; bytes_in = 0; bytes_out = 0; busy_ns = 0L }
 
 let listen t ~addr handler =

@@ -53,6 +53,11 @@ val clock : t -> Idbox_kernel.Clock.t
 val metrics : t -> Idbox_kernel.Metrics.t
 (** The registry fault and error counters land in. *)
 
+val count : t -> string -> unit
+(** Increment the counter [name] in {!metrics}.  Its handle is resolved
+    on the first increment and held by the network from then on, so a
+    warm call makes no by-name probe of the registry. *)
+
 val listen : t -> addr:string -> (string -> string) -> unit
 (** Register a request handler at an address (replacing any previous
     listener).  The endpoint comes up listening. *)

@@ -65,4 +65,4 @@ let stage t data =
 
 let collect t ~off ~len =
   Kernel.note_channel_copy t.kernel ~bytes:len;
-  Bytes.to_string (Inode.read t.inode ~off ~len)
+  Inode.read t.inode ~off ~len

@@ -121,10 +121,8 @@ let size t =
 
 let read t ~off ~len =
   let s = store t "Inode.read" in
-  if off >= s.len || len <= 0 then Bytes.create 0
-  else
-    let n = min len (s.len - off) in
-    Bytes.sub s.data off n
+  if off >= s.len || len <= 0 then ""
+  else Bytes.sub_string s.data off (min len (s.len - off))
 
 let ensure_capacity s wanted =
   if Bytes.length s.data < wanted then begin

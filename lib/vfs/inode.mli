@@ -76,10 +76,11 @@ val pipe_drop_writer : pipe -> unit
 val size : t -> int
 (** Byte length of a regular file; 0 for others. *)
 
-val read : t -> off:int -> len:int -> bytes
+val read : t -> off:int -> len:int -> string
 (** [read t ~off ~len] returns up to [len] bytes starting at [off]; the
-    result is shorter at end-of-file, and empty past it.  Raises
-    [Invalid_argument] on directories. *)
+    result is shorter at end-of-file, and empty past it.  The bytes are
+    copied once, straight into the result.  Raises [Invalid_argument]
+    on directories. *)
 
 val write : t -> off:int -> bytes -> int
 (** [write t ~off data] writes all of [data] at [off], growing the file

@@ -10,13 +10,33 @@ let of_components = function
   | [] -> root
   | comps -> "/" ^ String.concat "/" comps
 
+(* Whether every component of [p] from [start] on is non-empty and not
+   "." or ".."; [i] is the byte being read. *)
+let rec canonical_from p n start i =
+  if i < n && p.[i] <> '/' then canonical_from p n start (i + 1)
+  else
+    (match i - start with
+     | 0 -> false
+     | 1 -> p.[start] <> '.'
+     | 2 -> not (p.[start] = '.' && p.[start + 1] = '.')
+     | _ -> true)
+    && (i = n || canonical_from p n (i + 1) (i + 1))
+
+(* Absolute, and no component is empty, "." or "..": [normalize]'s own
+   output form.  One scan, no allocation. *)
+let is_canonical p =
+  let n = String.length p in
+  n > 0 && p.[0] = '/' && (n = 1 || canonical_from p n 1 1)
+
 let normalize p =
-  let resolve acc comp =
-    match comp with
-    | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
-    | c -> c :: acc
-  in
-  components p |> List.fold_left resolve [] |> List.rev |> of_components
+  if is_canonical p then p
+  else
+    let resolve acc comp =
+      match comp with
+      | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
+      | c -> c :: acc
+    in
+    components p |> List.fold_left resolve [] |> List.rev |> of_components
 
 let join base p =
   if is_absolute p then normalize p

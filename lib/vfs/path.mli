@@ -21,7 +21,8 @@ val of_components : string list -> string
 
 val normalize : string -> string
 (** Lexical cleanup of an absolute path: collapse [//] and [.], resolve
-    [".."] lexically, never above the root. *)
+    [".."] lexically, never above the root.  A path already in that form
+    is returned as it is, after one scan that allocates nothing. *)
 
 val join : string -> string -> string
 (** [join base p] is [p] when [p] is absolute, else the normalized

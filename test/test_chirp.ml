@@ -547,9 +547,35 @@ let lease_serves_and_flushes () =
   Alcotest.(check int) "expired lease goes to the wire" 2
     (Network.total_messages w.net - m1)
 
+(* Gets of files around the 64 KiB read chunk: the bytes come back
+   whole, and the server pays one delegated [Read] per started chunk
+   beyond what a get of an empty file pays (its one, empty, read). *)
+let get_chunk_boundaries () =
+  Kernel.with_fresh_programs (fun () ->
+      let w = make_world () in
+      let c = connect_fred w in
+      ok "mkdir" (Client.mkdir c "/fred");
+      let get_of_size n =
+        let path = Printf.sprintf "/fred/f%d" n in
+        let data = String.init n (fun i -> Char.chr (i * 13 mod 256)) in
+        ok "put" (Client.put c ~path ~data);
+        ignore (ok "warm get" (Client.get c path));
+        let d0 = (Kernel.stats w.kernel).Kernel.delegated in
+        let got = ok "get" (Client.get c path) in
+        Alcotest.(check bool) (Printf.sprintf "%d B: bytes" n) true (String.equal data got);
+        (Kernel.stats w.kernel).Kernel.delegated - d0
+      in
+      let empty = get_of_size 0 in
+      List.iter
+        (fun n ->
+          Alcotest.(check int) (Printf.sprintf "%d B: extra reads" n) ((n + 65535) / 65536)
+            (get_of_size n - empty))
+        [ 65535; 65536; 65537; 200_000 ])
+
 let suite =
   [
     Alcotest.test_case "figure 3 full scenario" `Quick figure3_full_scenario;
+    Alcotest.test_case "get at 64 KiB chunk boundaries" `Quick get_chunk_boundaries;
     Alcotest.test_case "acl management through mount" `Quick acl_management_through_mount;
     Alcotest.test_case "box spawn from path" `Quick box_spawn_from_path;
     Alcotest.test_case "reserve namespace + grant" `Quick reserve_mints_private_namespace;

@@ -161,7 +161,7 @@ let in_kernel_mode_cheaper () =
     (Int64.compare kernel_cost user_cost < 0)
 
 let large_acl_read () =
-  (* A multi-chunk ACL file exercises the Buffer-based slurp in
+  (* A multi-chunk ACL file exercises the multi-chunk join in
      [read_acl_file]; every entry must survive the round trip. *)
   let k, e = fresh () in
   ok "mkdir" (Fs.mkdir_p (Kernel.fs k) ~uid:0 "/big");
@@ -181,6 +181,39 @@ let large_acl_read () =
   (match Enforce.check_in_dir e ~identity:jane ~dir:"/big" Right.Read with
    | Error Errno.EACCES -> ()
    | Ok () | Error _ -> Alcotest.fail "unlisted identity allowed")
+
+(* ACL files of [n] bytes around the 4 KiB read chunk: the entry on the
+   last line survives (nothing is lost or doubled at a chunk seam), and
+   the file costs one delegated [Read] per started 4 KiB plus the empty
+   one at end-of-file — counted against a one-line ACL, which reads one
+   chunk and the empty one. *)
+let acl_chunk_boundaries () =
+  let head = "globus:/O=UnivNowhere/CN=Fred rl\n" in
+  let tail = "globus:/O=UnivNowhere/CN=Jane rwl\n" in
+  let read_acl_of_size n =
+    let k, e = fresh () in
+    let fs = Kernel.fs k in
+    ok "mkdir" (Fs.mkdir_p fs ~uid:0 "/d");
+    let text =
+      if n = 0 then tail
+      else head ^ "#" ^ String.make (n - String.length head - String.length tail - 2) 'p' ^ "\n" ^ tail
+    in
+    ok "acl file" (Fs.write_file fs ~uid:0 ("/d/" ^ Acl.filename) text);
+    let d0 = (Kernel.stats k).Kernel.delegated in
+    match Enforce.dir_acl e "/d" with
+    | Some acl -> (String.length text, acl, (Kernel.stats k).Kernel.delegated - d0)
+    | None -> Alcotest.failf "%d B: no acl" n
+  in
+  let _, _, one_chunk = read_acl_of_size 0 in
+  List.iter
+    (fun n ->
+      let size, acl, delegated = read_acl_of_size n in
+      let what = Printf.sprintf "%d B: %s" n in
+      Alcotest.(check int) (what "file size") n size;
+      Alcotest.(check int) (what "extra reads") (((n + 4095) / 4096) - 1) (delegated - one_chunk);
+      Alcotest.(check string) (what "last entry") "rwl" (Rights.to_string (Acl.rights_of acl jane));
+      Alcotest.(check string) (what "first entry") "rl" (Rights.to_string (Acl.rights_of acl fred)))
+    [ 4095; 4096; 4097; 10_000 ]
 
 let cache_counters () =
   let module Metrics = Idbox_kernel.Metrics in
@@ -229,5 +262,6 @@ let suite =
     Alcotest.test_case "plan_mkdir precedence" `Quick plan_mkdir_reserve_precedence;
     Alcotest.test_case "in-kernel mode cheaper" `Quick in_kernel_mode_cheaper;
     Alcotest.test_case "large acl read" `Quick large_acl_read;
+    Alcotest.test_case "acl read at 4 KiB chunk boundaries" `Quick acl_chunk_boundaries;
     Alcotest.test_case "cache hit/miss counters" `Quick cache_counters;
   ]

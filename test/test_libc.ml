@@ -47,19 +47,29 @@ let with_file_closes_on_both_paths () =
   in
   Alcotest.(check (option int)) "with_file" (Some 0) code
 
+(* Files around the 8 KiB block read_all uses internally: the bytes come
+   back whole, for one [Read] per started block plus the empty one at
+   end-of-file. *)
 let read_all_chunks_across_blocks () =
-  let k = Kernel.create () in
-  (* Bigger than the 8 KiB block read_all uses internally. *)
-  let big = String.init 20_000 (fun i -> Char.chr (33 + (i mod 90))) in
-  let code =
-    run_main k (fun _ ->
-        ignore (Libc.check "seed" (Libc.write_file "/tmp/big" ~contents:big));
-        let fd = Libc.check "open" (Libc.open_file "/tmp/big") in
-        let all = Libc.check "read_all" (Libc.read_all fd) in
-        ignore (Libc.close fd);
-        if String.equal all big then 0 else 1)
-  in
-  Alcotest.(check (option int)) "read_all" (Some 0) code
+  let module Metrics = Idbox_kernel.Metrics in
+  List.iter
+    (fun n ->
+      let k = Kernel.create () in
+      let data = String.init n (fun i -> Char.chr (33 + (i * 7 mod 90))) in
+      let reads = ref 0 in
+      let code =
+        run_main k (fun _ ->
+            ignore (Libc.check "seed" (Libc.write_file "/tmp/f" ~contents:data));
+            let fd = Libc.check "open" (Libc.open_file "/tmp/f") in
+            let r0 = Metrics.counter_value_of (Kernel.metrics k) "syscall.read" in
+            let all = Libc.check "read_all" (Libc.read_all fd) in
+            reads := Metrics.counter_value_of (Kernel.metrics k) "syscall.read" - r0;
+            ignore (Libc.close fd);
+            if String.equal all data then 0 else 1)
+      in
+      Alcotest.(check (option int)) (Printf.sprintf "%d B: bytes" n) (Some 0) code;
+      Alcotest.(check int) (Printf.sprintf "%d B: reads" n) (((n + 8191) / 8192) + 1) !reads)
+    [ 0; 1; 8191; 8192; 8193; 16_383; 16_384; 16_385; 20_000 ]
 
 let compute_us_rounds () =
   let k = Kernel.create () in

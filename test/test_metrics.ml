@@ -336,6 +336,111 @@ let world_put_zero_registry_lookups () =
     (Metrics.counter_value_of m "chirp.wal.append" > 40);
   Alcotest.(check int) "zero registry lookups across 40 warm puts" 0 probes
 
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Idbox_vfs.Errno.message e)
+
+(* A 3-node World with [/r] holding eight 1 KiB files, and a Router
+   connected as Alice. *)
+let read_world () =
+  let module World = Idbox_cluster.World in
+  let module Router = Idbox_cluster.Router in
+  let w = World.create () in
+  List.iter
+    (fun host ->
+      match World.add_node w ~host with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ "alpha.grid.edu"; "beta.grid.edu"; "gamma.grid.edu" ];
+  World.settle w;
+  let r =
+    match World.connect w ~credentials:[ World.issue w "Alice" ] with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  ok "mkdir" (Router.mkdir r "/r");
+  for i = 0 to 7 do
+    ok "put" (Router.put r ~path:(Printf.sprintf "/r/f%d" i) ~data:(String.make 1024 'd'))
+  done;
+  (w, r)
+
+(* The read path holds its handles everywhere: after a warm-up, gets,
+   stats, readdirs and getacls through the Router make no by-name probe
+   of the registry — not in the router, the client, the servers or the
+   network. *)
+let world_read_zero_registry_lookups () =
+  let module World = Idbox_cluster.World in
+  let module Router = Idbox_cluster.Router in
+  let module Kernel = Idbox_kernel.Kernel in
+  let w, r = read_world () in
+  let round i =
+    let path = Printf.sprintf "/r/f%d" (i mod 8) in
+    Alcotest.(check int) "get" 1024 (String.length (ok "get" (Router.get r path)));
+    ignore (ok "stat" (Router.stat r path));
+    ignore (ok "readdir" (Router.readdir r "/r"));
+    ignore (ok "getacl" (Router.getacl r "/r"))
+  in
+  for i = 0 to 15 do
+    round i
+  done;
+  (* Servers count into the kernel's registry; the router, clients,
+     replicas and network into the network's. *)
+  let lookups () =
+    Metrics.lookups (Kernel.metrics (World.kernel w))
+    + Metrics.lookups (Idbox_net.Network.metrics (World.net w))
+  in
+  let l0 = lookups () in
+  for i = 0 to 39 do
+    round i
+  done;
+  Alcotest.(check int) "zero registry lookups across 40 warm read rounds" 0 (lookups () - l0)
+
+(* Words allocated straight into the major heap by [f]: everything the
+   major heap gained across two minor collections that was not promoted
+   from the minor heap.  A block larger than the minor heap's limit
+   (256 words, 2 KiB) lands there directly. *)
+let direct_major_words f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
+
+(* The read path allocates per request, not per capacity: 100 warm gets
+   of 1 KiB files allocate nothing directly in the major heap, so no
+   buffer is sized beyond what the file needs. *)
+let warm_get_no_major_allocation () =
+  let module Router = Idbox_cluster.Router in
+  let _, r = read_world () in
+  let get i = ignore (ok "get" (Router.get r (Printf.sprintf "/r/f%d" (i mod 8)))) in
+  for i = 0 to 15 do
+    get i
+  done;
+  Alcotest.(check int) "direct major words across 100 warm gets" 0
+    (direct_major_words (fun () ->
+         for i = 0 to 99 do
+           get i
+         done))
+
+(* The same for an ACL read: an overwrite in [/r] invalidates the
+   directory's cached ACL, so each getacl after it re-reads the ACL
+   file — through a buffer no larger than the file. *)
+let getacl_reread_no_major_allocation () =
+  let module Router = Idbox_cluster.Router in
+  let module World = Idbox_cluster.World in
+  let module Kernel = Idbox_kernel.Kernel in
+  let w, r = read_world () in
+  let misses () = Metrics.counter_value_of (Kernel.metrics (World.kernel w)) "acl.cache.miss" in
+  ignore (ok "getacl" (Router.getacl r "/r"));
+  let total = ref 0 and misses0 = misses () in
+  for i = 0 to 19 do
+    ok "overwrite" (Router.put r ~path:"/r/f0" ~data:(String.make 1024 (Char.chr (97 + (i mod 26)))));
+    total := !total + direct_major_words (fun () -> ignore (ok "getacl" (Router.getacl r "/r")))
+  done;
+  Alcotest.(check bool) "each getacl re-read the ACL file" true (misses () - misses0 >= 20);
+  Alcotest.(check int) "direct major words across 20 ACL re-reads" 0 !total
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick counter_basics;
@@ -355,6 +460,12 @@ let suite =
       warm_check_zero_registry_lookups;
     Alcotest.test_case "world put: zero registry lookups" `Quick
       world_put_zero_registry_lookups;
+    Alcotest.test_case "world read: zero registry lookups" `Quick
+      world_read_zero_registry_lookups;
+    Alcotest.test_case "warm get: no direct major allocation" `Quick
+      warm_get_no_major_allocation;
+    Alcotest.test_case "getacl re-read: no direct major allocation" `Quick
+      getacl_reread_no_major_allocation;
     Alcotest.test_case "stats dump covers the delegation counters" `Quick
       stats_dump_covers_delegation;
   ]

@@ -12,6 +12,25 @@ let normalize_cases () =
       ("/../a", "/a");
       ("/a/b/../../c", "/c");
       ("/tmp/box_1/home/", "/tmp/box_1/home");
+      ("", "/");
+      (".", "/");
+      ("..", "/");
+      ("...", "/...");
+      ("/.", "/");
+      ("/..", "/");
+      ("/...", "/...");
+      ("a", "/a");
+      ("a/b", "/a/b");
+      ("./a", "/a");
+      ("../a", "/a");
+      ("/a/.", "/a");
+      ("/a/..", "/");
+      ("/.a", "/.a");
+      ("/a.", "/a.");
+      ("/..a", "/..a");
+      ("/a..", "/a..");
+      ("/a/.../b", "/a/.../b");
+      ("/already/canonical", "/already/canonical");
     ]
   in
   List.iter
@@ -84,6 +103,34 @@ let prop_join_absolute =
     (QCheck.pair (QCheck.make path_gen) (QCheck.make path_gen))
     (fun (base, p) -> Path.is_absolute (Path.join base p))
 
+(* The split-fold form [normalize] had before it returned canonical
+   paths unchanged: the fast path must agree with it on every input. *)
+let reference_normalize p =
+  let resolve acc = function
+    | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
+    | c -> c :: acc
+  in
+  match
+    String.split_on_char '/' p
+    |> List.filter (fun c -> c <> "" && c <> ".")
+    |> List.fold_left resolve [] |> List.rev
+  with
+  | [] -> "/"
+  | comps -> "/" ^ String.concat "/" comps
+
+let prop_normalize_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let comp = oneofl [ ""; "."; ".."; "..."; "a"; "bc"; ".x"; "x." ] in
+      map2
+        (fun lead comps -> lead ^ String.concat "/" comps)
+        (oneofl [ ""; "/"; "//" ])
+        (list_size (int_range 0 6) comp))
+  in
+  QCheck.Test.make ~name:"normalize = split-fold reference" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun p ->
+      String.equal (reference_normalize p) (Path.normalize p))
+
 let suite =
   [
     Alcotest.test_case "normalize" `Quick normalize_cases;
@@ -95,4 +142,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_no_dots;
     QCheck_alcotest.to_alcotest prop_join_absolute;
+    QCheck_alcotest.to_alcotest prop_normalize_matches_reference;
   ]

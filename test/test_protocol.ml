@@ -61,6 +61,34 @@ let prop_wire_roundtrip =
       | Ok decoded -> decoded = fields
       | Error _ -> false)
 
+(* [Wire.encode] writes into one exact-size buffer; this is the
+   grow-and-copy form it replaced, whose bytes it must reproduce. *)
+let reference_encode fields =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (string_of_int (String.length f));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf f)
+    fields;
+  Buffer.contents buf
+
+let wire_encode_matches_reference_cases () =
+  let around n = [ n - 1; n; n + 1 ] in
+  let lengths = 0 :: List.concat_map around [ 10; 100; 1000; 10_000; 100_000 ] in
+  List.iter
+    (fun fields ->
+      Alcotest.(check string)
+        (Printf.sprintf "[%s]" (String.concat ";" (List.map (fun f -> string_of_int (String.length f)) fields)))
+        (reference_encode fields) (Wire.encode fields))
+    ([] :: [ "" ] :: [ ""; "" ] :: List.map (fun n -> [ String.make n 'z'; ""; "x" ]) lengths)
+
+let prop_wire_encode_matches_reference =
+  let len = QCheck.Gen.(oneof [ int_range 0 12; int_range 95 105; int_range 995 1005 ]) in
+  QCheck.Test.make ~name:"wire encode = Buffer reference" ~count:300
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 6) (QCheck.string_gen_of_size len QCheck.Gen.char))
+    (fun fields -> String.equal (reference_encode fields) (Wire.encode fields))
+
 (* --- protocol messages ------------------------------------------------ *)
 
 let ops =
@@ -293,6 +321,9 @@ let suite =
       wire_length_forms
   @ [
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+    Alcotest.test_case "wire encode = reference at length boundaries" `Quick
+      wire_encode_matches_reference_cases;
+    QCheck_alcotest.to_alcotest prop_wire_encode_matches_reference;
     Alcotest.test_case "request roundtrip" `Quick request_roundtrip;
     Alcotest.test_case "auth roundtrip" `Quick auth_roundtrip_all_credentials;
     Alcotest.test_case "response roundtrip" `Quick response_roundtrip;

@@ -306,13 +306,13 @@ let inode_offset_io () =
   let ino = Inode.make_file ~ino:1 ~uid:0 ~mode:0o644 ~now:0L in
   ignore (Inode.write ino ~off:0 (Bytes.of_string "hello world"));
   Alcotest.(check string) "middle" "world"
-    (Bytes.to_string (Inode.read ino ~off:6 ~len:5));
-  Alcotest.(check string) "past eof" "" (Bytes.to_string (Inode.read ino ~off:100 ~len:5));
+    (Inode.read ino ~off:6 ~len:5);
+  Alcotest.(check string) "past eof" "" (Inode.read ino ~off:100 ~len:5);
   (* Sparse write zero-fills the gap. *)
   ignore (Inode.write ino ~off:15 (Bytes.of_string "end"));
   Alcotest.(check int) "size" 18 (Inode.size ino);
   Alcotest.(check string) "gap zeros" "\000\000\000\000"
-    (Bytes.to_string (Inode.read ino ~off:11 ~len:4));
+    (Inode.read ino ~off:11 ~len:4);
   Inode.truncate ino ~len:5;
   Alcotest.(check string) "truncated" "hello" (Inode.contents ino);
   Inode.truncate ino ~len:8;
@@ -326,7 +326,7 @@ let prop_inode_write_read =
       let ino = Inode.make_file ~ino:1 ~uid:0 ~mode:0o644 ~now:0L in
       ignore (Inode.write ino ~off (Bytes.of_string data));
       String.equal
-        (Bytes.to_string (Inode.read ino ~off ~len:(String.length data)))
+        (Inode.read ino ~off ~len:(String.length data))
         data)
 
 let prop_fs_write_read_roundtrip =

@@ -656,12 +656,100 @@ let server_dedup_matches_reference () =
   Alcotest.(check bool) "entries expired" true (!evicted > 0);
   Alcotest.(check int) "eviction counter" !evicted m
 
+(* A checkpoint's image is encoded only when recovery (or this test)
+   reads it.  It must hold the state at the checkpoint, not whatever the
+   server has become by the time it is read: files overwritten, ACLs
+   edited, journal entries added and expired and an epoch bumped after
+   the checkpoint all stay out of it.  The reference is the image an
+   eager encoder writes at checkpoint time, from the server's public
+   snapshot and epochs and the journal's done records. *)
+let deferred_checkpoint_captures_state () =
+  let wal = Wal.create () in
+  let server, net, kernel, ca =
+    make_server ~wal ~checkpoint_every:10_000 ~dedup_window_ns:50_000_000L ()
+  in
+  let clock = Kernel.clock kernel in
+  let metric name = Metrics.counter_value_of (Kernel.metrics kernel) name in
+  let c = connect net ca in
+  let fred_name = "globus:/O=UnivNowhere/CN=Fred" in
+  let fred = Principal.of_string fred_name in
+  let ship i data =
+    ignore
+      (Server.apply_shipped server ~identity:fred ~req_id:(Printf.sprintf "geo-%02d" i)
+         (Protocol.Put { path = Printf.sprintf "/j/g%d" (i mod 3); data }))
+  in
+  let put i data = ok "put" (Client.put c ~path:(Printf.sprintf "/j/f%d" i) ~data) in
+  ok "mkdir" (Client.mkdir c "/j");
+  for i = 0 to 5 do
+    put i (Printf.sprintf "v%d" i);
+    ship i "g"
+  done;
+  ok "setacl" (Client.setacl c ~path:"/j" ~entry:"globus:/O=UnivNowhere/CN=Jane rl");
+  ignore (ok "revoke" (Client.revoke c fred_name));
+  let snapshot () =
+    match Server.snapshot_subtree server "/" with
+    | Ok entries -> entries
+    | Error e -> Alcotest.failf "snapshot: %s" (Errno.to_string e)
+  in
+  let reference =
+    (* Nothing has expired yet: the journal is every done record logged
+       since the creation checkpoint. *)
+    let r : Ref_dedup.t = Hashtbl.create 16 in
+    List.iter
+      (fun record ->
+        match Wire.decode record with
+        | Ok [ "done"; rid; at; resp ] -> Hashtbl.replace r rid (Int64.of_string at, resp)
+        | _ -> ())
+      (Wal.logged_records wal);
+    Alcotest.(check int) "journal size at the checkpoint" (Server.dedup_size server) (Hashtbl.length r);
+    let revocations =
+      Wire.encode
+        ("revocations"
+        :: List.concat_map (fun (d, e) -> [ d; string_of_int e ]) (Server.epoch_entries server))
+    in
+    let entry = function
+      | Server.Snap_dir { path; acl } -> Wire.encode [ "d"; path; acl ]
+      | Server.Snap_file { path; data } -> Wire.encode [ "f"; path; data ]
+    in
+    Wire.encode (Ref_dedup.image r :: revocations :: List.map entry (snapshot ()))
+  in
+  ok "checkpoint" (Server.checkpoint_now server);
+  (* Past the dedup window: the next mutation expires the whole journal. *)
+  Clock.advance clock 100_000_000L;
+  let evicted0 = metric "chirp.dedup_evictions" in
+  for i = 0 to 5 do
+    put i (Printf.sprintf "w%d" i);
+    ship (10 + i) "h"
+  done;
+  Alcotest.(check bool) "journal entries expired" true (metric "chirp.dedup_evictions" > evicted0);
+  ok "acl edit" (Client.setacl c ~path:"/j" ~entry:"globus:/O=UnivNowhere/CN=Jane rwl");
+  ignore (ok "revoke again" (Client.revoke c fred_name));
+  (match Wal.checkpoint_image wal with
+   | Some image ->
+     Alcotest.(check int) "image length" (String.length reference) (String.length image);
+     Alcotest.(check bool) "image = eager encoding at checkpoint time" true
+       (String.equal reference image)
+   | None -> Alcotest.fail "no checkpoint image");
+  (* Recovery loads that image and replays the log written since: the
+     state is the live state before the crash (every record was synced
+     before its ack). *)
+  let live = snapshot () and epochs = Server.epoch_entries server in
+  let loads = metric "chirp.recovery.checkpoint_loads" in
+  Server.crash server;
+  Server.restart server;
+  Alcotest.(check int) "checkpoint loaded" (loads + 1) (metric "chirp.recovery.checkpoint_loads");
+  Alcotest.(check bool) "files and ACLs = checkpoint + replayed log" true (live = snapshot ());
+  Alcotest.(check (list (pair string int))) "epochs = checkpoint + replayed log" epochs
+    (Server.epoch_entries server)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest wal_matches_string_model;
     QCheck_alcotest.to_alcotest dedup_matches_reference;
     Alcotest.test_case "server dedup journal = reference (async, restart)" `Quick
       server_dedup_matches_reference;
+    Alcotest.test_case "deferred checkpoint image captures state" `Quick
+      deferred_checkpoint_captures_state;
     Alcotest.test_case "roundtrip" `Quick roundtrip;
     Alcotest.test_case "checkpoint truncates" `Quick checkpoint_truncates;
     Alcotest.test_case "crash respects sync barrier" `Quick
