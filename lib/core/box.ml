@@ -118,8 +118,6 @@ let mount_of t abs =
       | None -> None)
     t.mounts
 
-let is_acl_file abs = String.equal (Path.basename abs) Enforce.acl_filename
-
 (* ------------------------------------------------------------------ *)
 (* Entry-action helpers.                                               *)
 (* ------------------------------------------------------------------ *)
@@ -170,7 +168,7 @@ let pass_or_badf vp fd =
 
 let handle_open t pid vp path flags mode =
   let abs = canon t vp path in
-  if is_acl_file abs then deny Errno.EACCES
+  if Enforce.is_acl_file abs then deny Errno.EACCES
   else
     match mount_of t abs with
     | Some (driver, rpath) ->
@@ -388,7 +386,7 @@ let handle_stat t pid vp path ~follow =
 
 let handle_mkdir t pid vp path mode =
   let abs = canon t vp path in
-  if is_acl_file abs then deny Errno.EACCES
+  if Enforce.is_acl_file abs then deny Errno.EACCES
   else
     match mount_of t abs with
     | Some (driver, rpath) ->
@@ -448,7 +446,7 @@ let handle_rmdir t pid vp path =
 
 let handle_unlink t pid vp path =
   let abs = canon t vp path in
-  if is_acl_file abs then deny Errno.EACCES
+  if Enforce.is_acl_file abs then deny Errno.EACCES
   else
     match mount_of t abs with
     | Some (driver, rpath) ->
@@ -482,7 +480,7 @@ let handle_readdir t pid vp path =
 
 let handle_link t pid vp ~target ~path =
   let atarget = canon t vp target and apath = canon t vp path in
-  if is_acl_file apath || is_acl_file atarget then deny Errno.EACCES
+  if Enforce.is_acl_file apath || Enforce.is_acl_file atarget then deny Errno.EACCES
   else if mount_of t atarget <> None || mount_of t apath <> None then
     deny Errno.EXDEV
   else
@@ -497,7 +495,7 @@ let handle_link t pid vp ~target ~path =
 
 let handle_symlink t pid vp ~target ~path =
   let apath = canon t vp path in
-  if is_acl_file apath then deny Errno.EACCES
+  if Enforce.is_acl_file apath then deny Errno.EACCES
   else if mount_of t apath <> None then deny Errno.EXDEV
   else
     check_dir t Right.Write ~dir:(Path.dirname apath) (fun () ->
@@ -516,7 +514,7 @@ let handle_readlink t pid vp path =
 
 let handle_rename t pid vp ~src ~dst =
   let asrc = canon t vp src and adst = canon t vp dst in
-  if is_acl_file asrc || is_acl_file adst then deny Errno.EACCES
+  if Enforce.is_acl_file asrc || Enforce.is_acl_file adst then deny Errno.EACCES
   else
     match (mount_of t asrc, mount_of t adst) with
     | Some (d1, r1), Some (d2, r2) when d1 == d2 ->
@@ -726,6 +724,8 @@ and dispatch t ~pid vp req =
     (* Unix mode bits are supervisor-side details; requiring write keeps
        visitors from locking the supervisor out of its own files. *)
     let abs = canon t vp path in
+    if Enforce.is_acl_file abs then deny Errno.EACCES
+    else
     check t Right.Write ~object_path:abs (fun () ->
         match delegate t req with
         | Ok _ -> emulate t pid (Ok Syscall.Unit)
@@ -733,6 +733,8 @@ and dispatch t ~pid vp req =
   | Syscall.Chown _ -> deny Errno.EPERM
   | Syscall.Truncate { path; len } ->
     let abs = canon t vp path in
+    if Enforce.is_acl_file abs then deny Errno.EACCES
+    else
     check t Right.Write ~object_path:abs (fun () ->
         match delegate t (Syscall.Truncate { path = abs; len }) with
         | Ok _ -> emulate t pid (Ok Syscall.Unit)

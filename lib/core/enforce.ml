@@ -81,6 +81,9 @@ type t = {
      corruption hook for proving the verifier fails closed. *)
   mutable bc : bc_state;
   mutable bc_tamper : (Policy.t -> Policy.t) option;
+  (* The filesystem's compile cache: the tier's builds carry work
+     through it, and the interpreter parses ACL texts through its memo. *)
+  compiled : Policy_compile.cache;
   c_gen_check : int64;
   c_chain_hop : int64;
   c_bc_check : int64;
@@ -110,6 +113,13 @@ type t = {
 
 let acl_filename = Acl.filename
 
+(* No visitor names an ACL file directly: every box refuses to open,
+   create, unlink, rename, link, chmod or truncate one, whatever the
+   rights — the ACL changes only through setacl, under the admin
+   right.  (A chmod to 0 would make it unreadable, sending every check
+   in the directory to the nobody fallback.) *)
+let is_acl_file abs = String.equal (Path.basename abs) acl_filename
+
 let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     () =
   (* Register the ACL basename with the VFS: content writes land through
@@ -130,6 +140,7 @@ let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     bytecode = (match bytecode with Some b -> b | None -> caching);
     bc = Rejected (-1);
     bc_tamper = None;
+    compiled = Policy_compile.shared_cache (Kernel.fs kernel);
     c_gen_check = (Kernel.cost kernel).Cost.gen_check_ns;
     c_chain_hop = (Kernel.cost kernel).Cost.chain_hop_ns;
     c_bc_check = (Kernel.cost kernel).Cost.bytecode_check_ns;
@@ -194,8 +205,8 @@ let build_pending t ~gen =
     Metrics.incr t.m_bc_build;
     let fs = Kernel.fs t.kernel in
     (match
-       Policy_compile.compile ?tamper:t.bc_tamper
-         ~cache:(Policy_compile.shared_cache fs) fs ~uid:t.sup.View.uid
+       Policy_compile.compile ?tamper:t.bc_tamper ~cache:t.compiled fs
+         ~uid:t.sup.View.uid
      with
      | Ok p ->
        t.bc <- Built p;
@@ -380,11 +391,9 @@ let read_acl_file t dir =
        Metrics.incr t.m_read_fail;
        Some Acl.empty
      | Ok text ->
-       (match Acl.of_string text with
-        | Ok acl -> Some acl
-        | Error _ ->
-          (* A corrupt ACL file grants nothing: fail closed. *)
-          Some Acl.empty))
+       (* A corrupt ACL file grants nothing: the memo parses it as the
+          empty ACL, failing closed. *)
+       Some (Policy_compile.acl_of_text t.compiled text))
   | Ok _ -> None
 
 let acl_token t dir =

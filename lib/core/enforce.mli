@@ -182,6 +182,12 @@ val invalidate : t -> dir:string -> unit
 val acl_filename : string
 (** Re-export of {!Idbox_acl.Acl.filename} for dispatch-layer filtering. *)
 
+val is_acl_file : string -> bool
+(** Whether an absolute path names an ACL file.  Both boxes refuse a
+    visitor's open, mkdir, unlink, link, symlink, rename, chmod and
+    truncate of one with [EACCES], whatever rights it holds: ACLs
+    change only through setacl, under the admin right. *)
+
 val admit_chain :
   t ->
   trusted:Idbox_auth.Ca.t list ->

@@ -80,7 +80,19 @@ let verdict t ~identity (view : View.t) req =
     | Ok () -> Ok ()
     | Error _ -> Enforce.check_in_dir t.kb_enforce ~identity ~dir Right.Write
   in
+  (* The final component is what names an ACL file, and resolving
+     ancestors leaves it alone: judge it lexically, uncharged. *)
+  let acl_file path =
+    Enforce.is_acl_file (Path.normalize (Path.join view.View.cwd path))
+  in
   match req with
+  | Syscall.Open { path; _ } | Syscall.Mkdir { path; _ } | Syscall.Unlink path
+  | Syscall.Symlink { path; _ } | Syscall.Chmod { path; _ } | Syscall.Truncate { path; _ }
+    when acl_file path ->
+    Error Errno.EACCES
+  | Syscall.Link { target = a; path = b } | Syscall.Rename { src = a; dst = b }
+    when acl_file a || acl_file b ->
+    Error Errno.EACCES
   | Syscall.Open { path; flags; _ } ->
     let r = if flags.Idbox_vfs.Fs.rd then check_object path Right.Read else Ok () in
     (match r with

@@ -25,18 +25,37 @@ val rights_mask : Idbox_acl.Rights.t -> int
 (** A rights set as a program mask. *)
 
 type cache
-(** Work one build carries to the next: per (table, length, seed) the
-    two keys that collided in that seed trial, and each ACL file text
-    with its parse.  Both are facts about keys and texts, not about the
-    filesystem, so a build handed a cache produces exactly the program
-    a cold build would.  Retained size is bounded by the trials tried
-    (tables × lengths × 64 seeds, one key pair each) plus the ACL texts
-    the latest build read. *)
+(** Work one build carries to the next.  Facts about keys and texts:
+    per (table, length, seed) the two keys that collided in that seed
+    trial, and each ACL file text with its parse.  And per uid a base:
+    the last verified program with the per-directory shares it came
+    from.  A build handed a cache produces exactly the program a cold
+    build would.  Retained size is bounded by the trials tried (tables
+    × lengths × 64 seeds, one key pair each), one occupancy array of
+    at most 8,192 words, the ACL texts the latest build read (plus up
+    to a fixed number the interpreter parsed since) and one base per
+    uid. *)
 
 val shared_cache : Idbox_vfs.Fs.t -> cache
 (** The one cache attached to a filesystem, created on first use: every
     engine compiling that filesystem, whatever its uid, carries work
     through it, and it is freed with the filesystem. *)
+
+val acl_of_text : cache -> string -> Idbox_acl.Acl.t
+(** An ACL file's text parsed through the cache's text memo, so the
+    interpreter and the compiler parse each live text once between
+    them.  Unparseable text is the deny-all empty ACL, the compiler's
+    and the interpreter's shared fail-closed rule. *)
+
+type build =
+  | Cold  (** walked and derived everything; sampled verifier *)
+  | Patched
+      (** re-derived only the directories whose stamp moved since this
+          uid's last verified build; checked against it *)
+
+val last_build : cache -> build option
+(** Which path the latest build on this cache took.  Host-side
+    introspection for tests; no counter moves. *)
 
 val compile :
   ?tamper:(Idbox_kernel.Policy.t -> Idbox_kernel.Policy.t) ->
@@ -54,6 +73,11 @@ val compile :
     the semantic sample.  [cache] (default: a fresh one, a cold build)
     lets repeated builds of one engine skip seed trials already known
     to collide and ACL texts already parsed; the program is the same
-    either way.  The returned program carries the VFS
-    generation it snapshot; it is valid exactly while that generation
-    holds. *)
+    either way.  With a cache that holds a verified build for [uid],
+    and while the filesystem has never held a symlink, the build is
+    patched: it re-derives only the directories whose {!Idbox_vfs.Fs.stamp}
+    moved, and instead of the sample it checks every changed entry
+    against the live filesystem and every other entry against that
+    verified build.  A rejected build leaves the verified one in
+    place.  The returned program carries the VFS generation it
+    snapshot; it is valid exactly while that generation holds. *)

@@ -260,6 +260,12 @@ let eval_object p ~principal ~path ~right_bit =
        | Some acl -> decide p ~acl ~principal ~right_bit
        | None -> Unknown)
 
+(* --- lookups for the compiler's verifier ----------------------------- *)
+
+let find_dir p key = probe_str p.p_pool ~seed:p.p_dir_seed p.p_dir_key p.p_dir_val key
+let find_path p key = probe_str p.p_pool ~seed:p.p_path_seed p.p_path_key p.p_path_val key
+let find_exact = probe_exact
+
 (* --- structural verification ----------------------------------------
 
    Every accepted program satisfies: all sizes within budget, all pool

@@ -85,6 +85,23 @@ val eval_object :
 val eval_in_dir : t -> principal:string -> dir:string -> right_bit:int -> verdict
 (** The verdict for a check directly against a directory's ACL. *)
 
+(** {1 Lookups}
+
+    Table and block reads for the compiler's verifier, which compares a
+    program entry by entry against the previous verified one. *)
+
+val find_dir : t -> string -> int option
+(** The directory table's ACL id for a key, when the key is present. *)
+
+val find_path : t -> string -> int option
+val find_exact : t -> acl:int -> string -> int option
+(** The exact table's mask for (ACL id, principal), when present. *)
+
+val acl_mask : t -> acl:int -> string -> int option
+(** The rights mask ACL [acl]'s block grants a principal: its exact row
+    OR'd with every matching WILD instruction.  [None] when a glob ran
+    out of fuel (the program answers [Unknown]). *)
+
 type glob_result = Matched | Unmatched | Out_of_fuel
 
 val glob : fuel:int -> string -> string -> glob_result

@@ -143,6 +143,14 @@ let dir_token t path =
     Some (Inode.ino inode, Inode.gen inode)
   | Ok _ | Error _ -> None
 
+(* The change-detection rule (see fs.mli): a directory's stamp.  A
+   record of plain ints, so [=] compares it. *)
+type stamp = { sp_ino : int; sp_gen : int; sp_mode : int; sp_owner : int }
+
+let stamp inode =
+  { sp_ino = Inode.ino inode; sp_gen = Inode.gen inode;
+    sp_mode = Inode.mode inode; sp_owner = Inode.uid inode }
+
 let watched_name t path =
   match t.watched with
   | Some w -> String.equal (Path.basename path) w
@@ -447,6 +455,25 @@ let chown t ~uid ~owner path =
       note_attr_change t path;
       Ok ()
     end
+
+(* The reads of a directory already reached through searchable
+   ancestors, without resolving its path: the same permission rules as
+   [readdir], [lstat] and [read_file] apply at the last step. *)
+let readdir_at ~uid dir =
+  if Perm.check ~uid ~owner:(Inode.uid dir) ~mode:(Inode.mode dir) Perm.R then
+    Some (Inode.dir_entries dir)
+  else None
+
+let lookup_at ~uid dir name = if searchable ~uid dir then Inode.dir_find dir name else None
+
+let read_at ~uid dir name =
+  match lookup_at ~uid dir name with
+  | Some f
+    when Inode.kind f <> Inode.Directory
+         && Inode.kind f <> Inode.Symlink
+         && Perm.check ~uid ~owner:(Inode.uid f) ~mode:(Inode.mode f) Perm.R ->
+    Some (Inode.contents f)
+  | Some _ | None -> None
 
 let exists t ~uid path =
   match resolve t ~uid path with Ok _ -> true | Error _ -> false

@@ -90,6 +90,27 @@ val dir_token : t -> string -> (int * int) option
     following symlinks), or [None] when it does not resolve to a
     directory.  Host-side: performs no simulated syscalls. *)
 
+type stamp = private { sp_ino : int; sp_gen : int; sp_mode : int; sp_owner : int }
+(** What a host-side consumer must remember about a directory to know
+    whether its own share of the namespace moved. *)
+
+val stamp : Inode.t -> stamp
+(** A directory inode's [(ino, gen, mode, owner)].  While
+    {!ever_symlinked} is false, and given every ancestor is searchable,
+    what a [uid] learns about a directory through this module — its
+    listing, which entries it can [lstat] and their kinds, the
+    readability and content of its ACL file — is a function of the
+    directory's path, its stamp and the [uid]: every create, unlink,
+    link, rename, mkdir, rmdir, open-for-write, chmod and chown of an
+    entry bumps the directory's generation, and a chmod or chown of the
+    directory itself changes its mode or owner.  So a consumer that
+    keeps per-directory results walks top-down and re-derives only the
+    directories whose stamp (or path) changed.  An inode reached through
+    an unchanged parent is the same object, so its stamp is read
+    without resolving a path.  One limit: a file hard-linked into two
+    directories and written (or chmod'ed) through one name bumps only
+    that name's directory. *)
+
 val watch_basename : t -> string -> unit
 (** Register a basename (the ACL file name) whose open-for-write counts
     as a mutation of the containing directory.  File contents flow
@@ -136,6 +157,22 @@ val chmod : t -> uid:int -> mode:int -> string -> unit r
 val chown : t -> uid:int -> owner:int -> string -> unit r
 val exists : t -> uid:int -> string -> bool
 (** True when {!resolve} succeeds (follows symlinks). *)
+
+(** {1 Reading a directory already reached}
+
+    For a directory inode reached at some path through ancestors [uid]
+    may search, on a filesystem that has never held a symlink: each
+    answers as the path-based call on that path would, without
+    resolving it. *)
+
+val readdir_at : uid:int -> Inode.t -> string list option
+(** {!readdir}. *)
+
+val lookup_at : uid:int -> Inode.t -> string -> Inode.t option
+(** The entry {!lstat} of [dir/name] would describe. *)
+
+val read_at : uid:int -> Inode.t -> string -> string option
+(** {!read_file} of [dir/name]. *)
 
 (** {1 Convenience for tests and fixtures} *)
 

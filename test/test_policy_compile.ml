@@ -412,7 +412,9 @@ let swap_dirs a b (p : Policy.t) =
   { p with Policy.p_dir_val = v }
 
 (* (d) A semantic tamper is still rejected by the memoized verifier,
-   both by [compile] and through a deferred build in the engine. *)
+   both by [compile] and through a deferred build in the engine (this
+   setup's symlink keeps every build cold; [patched_tamper_rejected]
+   runs the same swap on the patched path). *)
 let semantic_tamper_rejected () =
   let k, bytecode, _, uncached = setup () in
   let tamper = swap_dirs "/w/a" "/w/b" in
@@ -446,6 +448,150 @@ let semantic_tamper_rejected () =
   match Kernel.policy k with
   | None -> ()
   | Some _ -> Alcotest.fail "tampered program reached the kernel slot"
+
+(* --- the patched path rejects every tamper ------------------------------
+
+   A filesystem that never held a symlink, so a build with a verified
+   predecessor takes the patched path.  /w/a and /w/b keep their ACLs;
+   the mutation rewrites /w/c's to a new one with a literal and a
+   wildcard entry.  Each tamper kind hits an entry the mutation touched
+   (under /w/c, or the new ACL) and one it did not (under /w/a, or
+   /w/a's ACL), and every one must be rejected, failing closed. *)
+
+let setup_plain () =
+  let k = Kernel.create () in
+  let sup = Kernel.make_view k ~uid:0 () in
+  let bytecode = Enforce.create ~bytecode:true k ~supervisor:sup () in
+  let uncached = Enforce.create ~caching:false k ~supervisor:sup () in
+  List.iter
+    (fun d ->
+      ok "mkdir" (Fs.mkdir_p (Kernel.fs k) ~uid:0 d);
+      ok "seed file" (Fs.write_file (Kernel.fs k) ~uid:0 (d ^ "/f0") "seed"))
+    dirs;
+  let acl entries =
+    Acl.of_entries (List.map (fun (p, r) -> Entry.make ~pattern:p (Rights.of_string_exn r)) entries)
+  in
+  ok "acl a"
+    (Enforce.write_acl bytecode ~dir:"/w/a"
+       (acl [ ("globus:/O=UnivNowhere/CN=Fred", "rwl"); ("kerberos:*", "rl") ]));
+  ok "acl b" (Enforce.write_acl bytecode ~dir:"/w/b" (acl [ ("kerberos:alice@NOWHERE.EDU", "r") ]));
+  let touched () =
+    Enforce.write_acl bytecode ~dir:"/w/c"
+      (acl [ ("globus:/O=UnivNowhere/CN=Fred", "r"); ("globus:/O=UnivNowhere/*", "l") ])
+  in
+  (k, bytecode, uncached, touched)
+
+let slot_of keys (p : Policy.t) name =
+  let found = ref (-1) in
+  Array.iteri (fun i k -> if k >= 0 && String.equal p.Policy.p_pool.(k) name then found := i) keys;
+  if !found < 0 then Alcotest.failf "no slot for %s" name;
+  !found
+
+let acl_of_dir (p : Policy.t) dir = p.p_dir_val.(slot_of p.p_dir_key p dir)
+
+let with_array a f =
+  let a = Array.copy a in
+  f a;
+  a
+
+(* Point [dir]'s (or [path]'s) entry at another ACL. *)
+let other (p : Policy.t) v = (v + 1) mod Array.length p.p_acl_off
+
+let tamper_dir dir (p : Policy.t) =
+  let i = slot_of p.p_dir_key p dir in
+  { p with p_dir_val = with_array p.p_dir_val (fun a -> a.(i) <- other p a.(i)) }
+
+let tamper_path path (p : Policy.t) =
+  let i = slot_of p.p_path_key p path in
+  { p with p_path_val = with_array p.p_path_val (fun a -> a.(i) <- other p a.(i)) }
+
+(* Fred's exact row in [dir]'s ACL gains the admin bit. *)
+let tamper_exact dir (p : Policy.t) =
+  let acl = acl_of_dir p dir in
+  let found = ref (-1) in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 && p.p_ex_acl.(i) = acl
+         && String.equal p.p_pool.(k) "globus:/O=UnivNowhere/CN=Fred"
+      then found := i)
+    p.p_ex_key;
+  if !found < 0 then Alcotest.failf "no exact row for Fred in %s" dir;
+  if p.p_ex_mask.(!found) land 16 <> 0 then Alcotest.failf "Fred already holds a in %s" dir;
+  { p with p_ex_mask = with_array p.p_ex_mask (fun a -> a.(!found) <- a.(!found) lor 16) }
+
+(* The first WILD of [dir]'s ACL grants every right. *)
+let tamper_wild dir (p : Policy.t) =
+  let pc = p.p_acl_off.(acl_of_dir p dir) in
+  if p.p_code.(pc) <> Policy.op_wild then Alcotest.failf "no WILD in %s's block" dir;
+  { p with p_code = with_array p.p_code (fun a -> a.(pc + 2) <- 63) }
+
+(* The pool string of the first WILD pattern of [dir]'s ACL matches
+   everyone. *)
+let tamper_pool dir (p : Policy.t) =
+  let pc = p.p_acl_off.(acl_of_dir p dir) in
+  if p.p_code.(pc) <> Policy.op_wild then Alcotest.failf "no WILD in %s's block" dir;
+  let s = p.p_code.(pc + 1) in
+  { p with p_pool = with_array p.p_pool (fun a -> a.(s) <- "*") }
+
+let patched_tampers =
+  [
+    ("dir value, touched", tamper_dir "/w/c");
+    ("dir value, untouched", tamper_dir "/w/a");
+    ("path value, touched", tamper_path "/w/c/f0");
+    ("path value, untouched", tamper_path "/w/a/f0");
+    ("exact mask, touched", tamper_exact "/w/c");
+    ("exact mask, untouched", tamper_exact "/w/a");
+    ("WILD operand, touched", tamper_wild "/w/c");
+    ("WILD operand, untouched", tamper_wild "/w/a");
+    ("pool string, touched", tamper_pool "/w/c");
+    ("pool string, untouched", tamper_pool "/w/a");
+    ("dir swap, untouched", swap_dirs "/w/a" "/w/b");
+  ]
+
+let patched_tamper_rejected () =
+  List.iter
+    (fun (name, tamper) ->
+      let k, bytecode, uncached, touched = setup_plain () in
+      let fs = Kernel.fs k in
+      let cache = Policy_compile.shared_cache fs in
+      ignore (verdict bytecode fred "/w/a/f0" Right.Read);
+      (match Enforce.bytecode_program bytecode with
+       | Some _ -> ()
+       | None -> Alcotest.failf "%s: no verified program to patch" name);
+      Enforce.set_bytecode_tamper bytecode (Some tamper);
+      ok "touch /w/c" (touched ());
+      let _, b0, j0, _, _ = bc_counts k in
+      List.iter
+        (fun path ->
+          List.iter
+            (fun identity ->
+              List.iter
+                (fun right ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: fail-closed %s" name path)
+                    (verdict uncached identity path right)
+                    (verdict bytecode identity path right))
+                rights)
+            identities)
+        probes;
+      let _, b1, j1, _, _ = bc_counts k in
+      Alcotest.(check (pair int int)) (name ^ ": one build, rejected") (1, 1) (b1 - b0, j1 - j0);
+      if Policy_compile.last_build cache <> Some Policy_compile.Patched then
+        Alcotest.failf "%s: the build was not patched" name;
+      (match Kernel.policy k with
+       | None -> ()
+       | Some _ -> Alcotest.failf "%s: tampered program reached the kernel slot" name);
+      (* The same tamper, compiled directly, is rejected on every retry. *)
+      for _ = 1 to 2 do
+        match Policy_compile.compile ~tamper ~cache fs ~uid:0 with
+        | Ok _ -> Alcotest.failf "%s: patched build accepted" name
+        | Error _ -> ()
+      done;
+      (* And the untampered build at this generation is accepted. *)
+      match Policy_compile.compile ~cache fs ~uid:0 with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s: healthy patched build: %s" name m)
+    patched_tampers
 
 (* --- byte-identical builds --------------------------------------------- *)
 
@@ -553,15 +699,20 @@ let golden_program () =
 
 (* --- carried work: a warm build is a cold build ------------------------
 
-   One filesystem mutated at random (creates, unlinks, mkdir and rmdir
-   — some spelled through "..", ACL writes including an unparseable one,
-   renames, chmods that hide a directory from the second uid, and a
-   symlink that turns the no-symlink fast path off).  After every step,
-   for two uids sharing the filesystem's one cache, the build that
-   carries witnesses and parsed ACLs equals a cold build.  A twin
-   filesystem that once held a symlink (so it never takes the fast path)
-   replays the same steps, and its cold build must match too, modulo
-   the generation the extra link and unlink moved. *)
+   One filesystem mutated at random: creates, unlinks, mkdir and rmdir
+   (some spelled through ".."), ACL writes including an unparseable one
+   and ACL files removed (the nobody fallback), file and directory
+   renames, chmods and chowns of directories and of their ACL files
+   (unenumerable subtrees, unreadable ACLs), and a symlink that turns
+   the no-symlink fast path off.  Three uids share the filesystem's one
+   cache and build at interleaved generations, as World members do.
+   After every step each build that carries state equals a cold build,
+   and takes the patched path whenever it has a verified build to patch
+   and no symlink ever existed.  A tampered build is rejected mid-
+   sequence and must leave that uid's verified build in place.  A twin
+   filesystem that once held a symlink (so it never takes the fast
+   path) replays the same steps, and its cold build must match too,
+   modulo the generation the extra link and unlink moved. *)
 
 let carried_acls =
   [|
@@ -579,14 +730,18 @@ let carried_acls =
     "not an acl ((";
   |]
 
-(* Applies one step; true when it created a symlink. *)
+let carried_uids = [| 0; 1000; 1001 |]
+
+(* Applies one step; true when it created a symlink.  Step kind 14 is
+   the tampered build, which the property runs itself. *)
 let carried_step fs (kind, a, b, c) =
   let dir i = Printf.sprintf "/d%d" (i mod 4) in
   let sub i j = Printf.sprintf "%s/e%d" (dir i) (j mod 3) in
   let file i j = Printf.sprintf "%s/f%d" (if j mod 2 = 0 then dir i else sub i j) (j mod 5) in
+  let acl_file i j = Path.join (if j mod 2 = 0 then dir i else sub i j) Acl.filename in
   let applied =
     Result.is_ok
-    (match kind mod 9 with
+    (match kind with
      | 0 -> Fs.write_file fs ~uid:0 (file a b) (string_of_int c)
      | 1 -> Fs.unlink fs ~uid:0 (file a b)
      | 2 ->
@@ -595,17 +750,23 @@ let carried_step fs (kind, a, b, c) =
          (Fs.mkdir fs ~uid:0 ~mode:0o755 (Printf.sprintf "%s/../%s" (dir b) (String.sub (sub a c) 1 5)))
      | 3 -> Fs.rmdir fs ~uid:0 (sub a c)
      | 4 ->
-       Fs.write_file fs ~uid:0
-         (Path.join (if c mod 2 = 0 then dir a else sub a b) Acl.filename)
-         carried_acls.(b mod Array.length carried_acls)
+       Fs.write_file fs ~uid:0 (acl_file a c) carried_acls.(b mod Array.length carried_acls)
      | 5 -> Fs.rename fs ~uid:0 ~src:(file a b) ~dst:(file b c)
      | 6 -> Fs.chmod fs ~uid:0 ~mode:(if c mod 2 = 0 then 0o700 else 0o755) (dir a)
      | 7 -> Fs.mkdir_p fs ~uid:0 (sub a b)
-     | _ ->
-       if c mod 4 = 0 then Fs.symlink fs ~uid:0 ~target:(file b c) (Printf.sprintf "%s/ln%d" (dir a) b)
-       else Fs.write_file fs ~uid:0 (file a c) "x")
+     | 8 ->
+       if c mod 8 = 0 then Fs.symlink fs ~uid:0 ~target:(file b c) (Printf.sprintf "%s/ln%d" (dir a) b)
+       else Fs.write_file fs ~uid:0 (file a c) "x"
+     | 9 -> Fs.rename fs ~uid:0 ~src:(sub a b) ~dst:(sub c (b + 1))
+     | 10 ->
+       Fs.chown fs ~uid:0 ~owner:carried_uids.(c mod 3)
+         (if b mod 2 = 0 then dir a else sub a b)
+     | 11 -> Fs.chmod fs ~uid:0 ~mode:(if c mod 2 = 0 then 0o600 else 0o644) (acl_file a b)
+     | 12 -> Fs.chown fs ~uid:0 ~owner:carried_uids.(c mod 3) (acl_file a b)
+     | 13 -> Fs.unlink fs ~uid:0 (acl_file a b)
+     | _ -> Ok ())
   in
-  applied && kind mod 9 = 8 && c mod 4 = 0
+  applied && kind = 8 && c mod 8 = 0
 
 let carried_fs ~twin =
   let fs = Fs.create () in
@@ -618,8 +779,11 @@ let carried_fs ~twin =
   done;
   fs
 
+let oversize (p : Policy.t) =
+  { p with Policy.p_code = Array.make (Policy.max_code + Policy.instr_width) 0 }
+
 let carried_equals_cold =
-  let step = QCheck.Gen.(quad (int_bound 8) small_nat small_nat small_nat) in
+  let step = QCheck.Gen.(quad (int_bound 14) small_nat small_nat small_nat) in
   QCheck.Test.make ~name:"carried-state compile = cold compile" ~count:40
     (QCheck.make QCheck.Gen.(list_size (int_range 10 30) step))
     (fun steps ->
@@ -627,22 +791,42 @@ let carried_equals_cold =
       let cache = Policy_compile.shared_cache fs in
       let strip = Result.map (fun (p : Policy.t) -> { p with Policy.p_gen = 0 }) in
       let linked = ref false in
+      let verified = Hashtbl.create 3 in
       List.for_all
-        (fun st ->
+        (fun ((kind, a, _, _) as st) ->
           if carried_step fs st then linked := true;
           ignore (carried_step twin st);
           if Fs.ever_symlinked fs <> !linked || not (Fs.ever_symlinked twin) then
             QCheck.Test.fail_report "the symlink flag is not monotone from the first link";
-          List.for_all
+          let expect uid =
+            if Hashtbl.mem verified uid && not !linked then Policy_compile.Patched
+            else Policy_compile.Cold
+          in
+          if kind = 14 then begin
+            let uid = carried_uids.(a mod 3) in
+            let want = expect uid in
+            if Result.is_ok (Policy_compile.compile ~tamper:oversize ~cache fs ~uid) then
+              QCheck.Test.fail_reportf "uid %d: a tampered build was accepted" uid;
+            if Policy_compile.last_build cache <> Some want then
+              QCheck.Test.fail_reportf "uid %d: the tampered build took the wrong path" uid
+          end;
+          Array.for_all
             (fun uid ->
+              (* At each step one uid, picked by the step, sits out. *)
+              kind = 14 || (List.length steps + a + uid) mod 3 = 0
+              ||
+              let want = expect uid in
               let cold = Policy_compile.compile fs ~uid in
               let warm = Policy_compile.compile ~cache fs ~uid in
               let slow = Policy_compile.compile twin ~uid in
+              if Policy_compile.last_build cache <> Some want then
+                QCheck.Test.fail_reportf "uid %d: the carried build took the wrong path" uid;
               if warm <> cold then QCheck.Test.fail_reportf "uid %d: carried build differs" uid;
               if strip slow <> strip cold then
                 QCheck.Test.fail_reportf "uid %d: fast path differs from the chase" uid;
+              if Result.is_ok warm then Hashtbl.replace verified uid ();
               true)
-            [ 0; 1000 ])
+            carried_uids)
         steps)
 
 let suite =
@@ -661,6 +845,7 @@ let suite =
       deferred_tamper_fails_closed;
     Alcotest.test_case "semantic tamper rejected by memoized verifier" `Quick
       semantic_tamper_rejected;
+    Alcotest.test_case "patched build rejects every tamper" `Quick patched_tamper_rejected;
     Alcotest.test_case "Policy.hash pinned" `Quick hash_is_pinned;
     Alcotest.test_case "right_bit = index in Right.all" `Quick right_bit_is_index;
     Alcotest.test_case "golden program is byte-identical" `Quick golden_program;

@@ -5,6 +5,8 @@ module Kernel = Idbox_kernel.Kernel
 module Account = Idbox_kernel.Account
 module Libc = Idbox_kernel.Libc
 module Box = Idbox.Box
+module Kbox = Idbox.Kbox
+module Enforce = Idbox.Enforce
 module Acl = Idbox_acl.Acl
 module Entry = Idbox_acl.Entry
 module Rights = Idbox_acl.Rights
@@ -178,28 +180,63 @@ let denied_calls_have_no_side_effects () =
 
 (* The ACL files themselves are not reachable through the trapped
    interface: only getacl/setacl may touch them. *)
+(* The probes an ACL-file attack tries: each must fail with EACCES. *)
+let acl_file_probes () =
+  (match Libc.read_file "/shared/.__acl" with
+   | Error Errno.EACCES -> ()
+   | Ok _ | Error _ -> Libc.exit 1);
+  (match Libc.write_file "/shared/.__acl" ~contents:"unix:eve rwlxad" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 2);
+  (match Libc.unlink "/shared/.__acl" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 3);
+  (match Libc.rename ~src:"/shared/.__acl" ~dst:"/shared/stolen" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 4);
+  (match Libc.link ~target:"/shared/.__acl" "/shared/laundered" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 5);
+  (* Unreadable, the ACL would send every check here to the nobody
+     fallback. *)
+  (match Libc.chmod ~mode:0 "/shared/.__acl" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 6);
+  (match Libc.truncate ~len:0 "/shared/.__acl" with
+   | Error Errno.EACCES -> ()
+   | Ok () | Error _ -> Libc.exit 7);
+  0
+
 let acl_files_protected () =
   let _, _, box = setup () in
-  let code =
-    run_in box (fun _ ->
-        (match Libc.read_file "/shared/.__acl" with
-         | Error Errno.EACCES -> ()
-         | Ok _ | Error _ -> Libc.exit 1);
-        (match Libc.write_file "/shared/.__acl" ~contents:"unix:eve rwlxad" with
-         | Error Errno.EACCES -> ()
-         | Ok () | Error _ -> Libc.exit 2);
-        (match Libc.unlink "/shared/.__acl" with
-         | Error Errno.EACCES -> ()
-         | Ok () | Error _ -> Libc.exit 3);
-        (match Libc.rename ~src:"/shared/.__acl" ~dst:"/shared/stolen" with
-         | Error Errno.EACCES -> ()
-         | Ok () | Error _ -> Libc.exit 4);
-        (match Libc.link ~target:"/shared/.__acl" "/shared/laundered" with
-         | Error Errno.EACCES -> ()
-         | Ok () | Error _ -> Libc.exit 5);
-        0)
+  Alcotest.(check int) "acl file unreachable" 0 (run_in box (fun _ -> acl_file_probes ()))
+
+(* The same probes against the in-kernel box, where Fred holds every
+   right but admin: without the refusal, writing the ACL file would
+   grant him admin. *)
+let acl_files_protected_kbox () =
+  let k = Kernel.create () in
+  let sup =
+    match Account.add (Kernel.accounts k) "dthain" with
+    | Ok e -> e
+    | Error m -> Alcotest.fail m
   in
-  Alcotest.(check int) "acl file unreachable" 0 code
+  Kernel.refresh_passwd k;
+  let kbox = Kbox.install k ~supervisor_uid:sup.Account.uid () in
+  let fs = Kernel.fs k in
+  ok "s1" (Fs.mkdir_p fs ~uid:0 "/shared");
+  ok "s2" (Fs.chown fs ~uid:0 ~owner:sup.Account.uid "/shared");
+  ok "acl"
+    (Enforce.write_acl (Kbox.enforcer kbox) ~dir:"/shared"
+       (Acl.of_entries
+          [ Entry.make ~pattern:"globus:/O=UnivNowhere/*" (Rights.of_string_exn "rwlxd") ]));
+  let pid = Kbox.spawn_main kbox ~identity:fred ~main:(fun _ -> acl_file_probes ()) ~args:[ "attack" ] in
+  Kernel.run k;
+  Alcotest.(check (option int)) "acl file unreachable" (Some 0) (Kernel.exit_code k pid);
+  Alcotest.(check bool) "still no admin" false
+    (Result.is_ok
+       (Enforce.check_in_dir (Kbox.enforcer kbox) ~identity:fred ~dir:"/shared"
+          Idbox_acl.Right.Admin))
 
 (* Without the a right, setacl is denied: Fred cannot grant himself or
    anyone else more rights in /shared. *)
@@ -306,6 +343,7 @@ let suite =
     Alcotest.test_case "full interface available" `Quick full_interface_available;
     Alcotest.test_case "denied calls side-effect free" `Quick denied_calls_have_no_side_effects;
     Alcotest.test_case "acl files protected" `Quick acl_files_protected;
+    Alcotest.test_case "acl files protected in kbox" `Quick acl_files_protected_kbox;
     Alcotest.test_case "setacl escalation blocked" `Quick privilege_escalation_via_setacl_blocked;
     Alcotest.test_case "dotdot escape blocked" `Quick dotdot_escape_blocked;
     Alcotest.test_case "passwd copy read-only" `Quick passwd_copy_read_only;
