@@ -168,7 +168,7 @@ let pass_or_badf vp fd =
 
 let handle_open t pid vp path flags mode =
   let abs = canon t vp path in
-  if Enforce.is_acl_file abs then deny Errno.EACCES
+  if Enforce.names_acl_file t.enforce abs then deny Errno.EACCES
   else
     match mount_of t abs with
     | Some (driver, rpath) ->
@@ -724,7 +724,7 @@ and dispatch t ~pid vp req =
     (* Unix mode bits are supervisor-side details; requiring write keeps
        visitors from locking the supervisor out of its own files. *)
     let abs = canon t vp path in
-    if Enforce.is_acl_file abs then deny Errno.EACCES
+    if Enforce.names_acl_file t.enforce abs then deny Errno.EACCES
     else
     check t Right.Write ~object_path:abs (fun () ->
         match delegate t req with
@@ -733,7 +733,7 @@ and dispatch t ~pid vp req =
   | Syscall.Chown _ -> deny Errno.EPERM
   | Syscall.Truncate { path; len } ->
     let abs = canon t vp path in
-    if Enforce.is_acl_file abs then deny Errno.EACCES
+    if Enforce.names_acl_file t.enforce abs then deny Errno.EACCES
     else
     check t Right.Write ~object_path:abs (fun () ->
         match delegate t (Syscall.Truncate { path = abs; len }) with

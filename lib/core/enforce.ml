@@ -113,12 +113,22 @@ type t = {
 
 let acl_filename = Acl.filename
 
-(* No visitor names an ACL file directly: every box refuses to open,
-   create, unlink, rename, link, chmod or truncate one, whatever the
-   rights — the ACL changes only through setacl, under the admin
-   right.  (A chmod to 0 would make it unreadable, sending every check
-   in the directory to the nobody fallback.) *)
+(* No visitor names an ACL file: every box refuses to open, create,
+   unlink, rename, link, chmod or truncate one, whatever the rights —
+   the ACL changes only through setacl, under the admin right.  (A
+   chmod to 0 would make it unreadable, sending every check in the
+   directory to the nobody fallback.) *)
 let is_acl_file abs = String.equal (Path.basename abs) acl_filename
+
+(* The calls that follow a final symlink must also refuse one that
+   lands on an ACL file, or a visitor with [w] could link [x] to
+   [.__acl] and write through it: judged on root's resolution, which
+   reaches whatever any uid's would, host-side and uncharged. *)
+let names_acl_file t abs =
+  is_acl_file abs
+  ||
+  let fs = Kernel.fs t.kernel in
+  Fs.ever_symlinked fs && is_acl_file (Policy_compile.resolve_final fs ~uid:0 abs)
 
 let create ?(in_kernel = false) ?(caching = true) ?bytecode kernel ~supervisor
     () =

@@ -183,10 +183,15 @@ val acl_filename : string
 (** Re-export of {!Idbox_acl.Acl.filename} for dispatch-layer filtering. *)
 
 val is_acl_file : string -> bool
-(** Whether an absolute path names an ACL file.  Both boxes refuse a
-    visitor's open, mkdir, unlink, link, symlink, rename, chmod and
-    truncate of one with [EACCES], whatever rights it holds: ACLs
-    change only through setacl, under the admin right. *)
+(** Whether an absolute path names an ACL file by its final component.
+    Both boxes refuse a visitor's mkdir, unlink, link, symlink and
+    rename of one with [EACCES], whatever rights it holds: ACLs change
+    only through setacl, under the admin right. *)
+
+val names_acl_file : t -> string -> bool
+(** [is_acl_file], or the path's final symlink chain ends on an ACL
+    file.  The test for open, chmod and truncate, which follow that
+    chain.  Host-side: charges nothing. *)
 
 val admit_chain :
   t ->

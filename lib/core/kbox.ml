@@ -81,13 +81,15 @@ let verdict t ~identity (view : View.t) req =
     | Error _ -> Enforce.check_in_dir t.kb_enforce ~identity ~dir Right.Write
   in
   (* The final component is what names an ACL file, and resolving
-     ancestors leaves it alone: judge it lexically, uncharged. *)
-  let acl_file path =
-    Enforce.is_acl_file (Path.normalize (Path.join view.View.cwd path))
-  in
+     ancestors leaves it alone: judge it lexically, uncharged — and for
+     the calls that follow a final symlink, where that symlink lands. *)
+  let lexical path = Path.normalize (Path.join view.View.cwd path) in
+  let acl_file path = Enforce.is_acl_file (lexical path) in
   match req with
-  | Syscall.Open { path; _ } | Syscall.Mkdir { path; _ } | Syscall.Unlink path
-  | Syscall.Symlink { path; _ } | Syscall.Chmod { path; _ } | Syscall.Truncate { path; _ }
+  | Syscall.Open { path; _ } | Syscall.Chmod { path; _ } | Syscall.Truncate { path; _ }
+    when Enforce.names_acl_file t.kb_enforce (lexical path) ->
+    Error Errno.EACCES
+  | Syscall.Mkdir { path; _ } | Syscall.Unlink path | Syscall.Symlink { path; _ }
     when acl_file path ->
     Error Errno.EACCES
   | Syscall.Link { target = a; path = b } | Syscall.Rename { src = a; dst = b }

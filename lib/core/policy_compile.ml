@@ -11,8 +11,8 @@
    that same generation needs the program — so most attempts under
    churn never reach here.  The builds that do are kept cheap without
    changing one byte of their output: seed trials track occupancy in
-   one trial-stamped array, and the verifier parses each principal
-   once and derives each directory's ACL once per call.  A
+   one stamped array per table length, and the verifier parses each
+   principal once and derives each directory's ACL once per call.  A
    caller that compiles the same filesystem repeatedly can also hand in
    a {!cache}, which carries exact facts from one build to the next
    (collision witnesses, parsed ACLs) and each uid's last verified
@@ -206,8 +206,6 @@ type cache = {
   mutable texts : (string, parsed_acl) Hashtbl.t;  (* read by this build *)
   mutable texts_prev : (string, parsed_acl) Hashtbl.t;
       (* read by the previous build; empty between builds *)
-  mutable mark : int array;  (* seed-trial occupancy, kept while short *)
-  mutable trial : int;  (* seed trials run: each stamps its marks *)
   bases : (int, base) Hashtbl.t;  (* by uid *)
   mutable epoch : int;  (* builds started *)
   mutable last : build option;
@@ -220,8 +218,6 @@ let create_cache () =
     ex_w = Hashtbl.create 8;
     texts = Hashtbl.create 16;
     texts_prev = Hashtbl.create 16;
-    mark = [||];
-    trial = 0;
     bases = Hashtbl.create 4;
     epoch = 0;
     last = None;
@@ -240,15 +236,19 @@ let shared_cache fs =
 let last_build c = c.last
 
 (* A build may reuse what the previous one read; what it does not read
-   is dropped when it ends.  A kept ACL keeps the matcher the verifier
-   and the interpreter built on it, whose per-principal memo
-   {!Acl.memo_capacity} bounds. *)
+   is dropped when it ends.  What is kept is the parse, not the matcher
+   the verifier built on it, whose per-principal memo would otherwise
+   be held between builds for every ACL. *)
 let begin_build c =
   let empty = c.texts_prev in
   c.texts_prev <- c.texts;
   c.texts <- empty
 
-let end_build c = Hashtbl.reset c.texts_prev
+let end_build c =
+  Hashtbl.reset c.texts_prev;
+  Hashtbl.filter_map_inplace
+    (fun _ pa -> Some { pa with pa_acl = Acl.of_entries (Acl.entries pa.pa_acl) })
+    c.texts
 
 (* An ACL's share of the program: one WILD instruction per wildcard
    entry, and for literal patterns one exact row per principal holding
@@ -322,7 +322,6 @@ let max_universe = Policy.max_table / 4
    added last. *)
 type walk = {
   w_fs : Fs.t;
-  w_direct : bool;
   w_uid : int;
   w_epoch : int;
   mutable w_dirs : int;
@@ -370,14 +369,15 @@ and reuse w s =
 
 and derive w ~prev dir inode stamp =
   let fs = w.w_fs and uid = w.w_uid in
-  (* A cold walk reads through the path-based calls; a patched one,
-     which only runs while no symlink has existed, reads the reached
-     inode directly under the same permission rules. *)
+  (* While no symlink has existed, the reached inode is read directly,
+     under the path-based calls' permission rules; after, through the
+     path-based calls, whose resolution a symlink can change. *)
+  let direct = not (Fs.ever_symlinked fs) in
   let acl =
-    if w.w_direct then Fs.read_at ~uid inode Acl.filename else acl_text fs ~uid dir
+    if direct then Fs.read_at ~uid inode Acl.filename else acl_text fs ~uid dir
   in
   let listing =
-    if w.w_direct then Fs.readdir_at ~uid inode
+    if direct then Fs.readdir_at ~uid inode
     else Result.to_option (Fs.readdir fs ~uid dir)
   in
   w.w_dirs <- w.w_dirs + 1;
@@ -404,7 +404,7 @@ and derive w ~prev dir inode stamp =
                w.w_paths <- w.w_paths + 1;
                let child = child_path dir name in
                let statable =
-                 if w.w_direct then Fs.lookup_at ~uid inode name
+                 if direct then Fs.lookup_at ~uid inode name
                  else
                    match Fs.lstat fs ~uid child with
                    | Ok _ -> Inode.dir_find inode name
@@ -515,21 +515,18 @@ let replay c ~epoch ?against root =
 
 (* Try seeds until every key lands in a distinct slot: the perfect-hash
    construction.  Grows the table (up to the budget) when no seed in
-   the trial window works.  A trial only needs occupancy, marked in
-   one array that every trial shares, kept from build to build while it
-   is at most [kept_mark] long; a slot's mark packs the stamp of the
-   trial that took it (trials are numbered across builds from 1, so an
-   older mark, or the initial 0, never reads as taken) with the index
-   of the key that took it, which names the collision witness of a
-   failed trial.  A trial whose witness keys
-   are both [present] is skipped: it would fail.  [from] is a (length,
-   seed) every earlier trial is known to fail at, so the search starts
-   there.  The key/value arrays are built once, for the winning seed. *)
+   the trial window works.  A trial only needs occupancy, so each
+   length gets one mark array; a slot's mark packs the trial's seed
+   (seeds start at 1: the initial 0 never reads as taken) with the
+   index of the key that took it, which names the collision witness of
+   a failed trial.  A trial whose witness keys are both [present] is
+   skipped: it would fail.  [from] is a (length, seed) every earlier
+   trial is known to fail at, so the search starts there.  The
+   key/value arrays are built once, for the winning seed. *)
 let key_bits = 24
-let kept_mark = 8192
 let key_mask = (1 lsl key_bits) - 1
 
-let build_table c ~slot ~(witness : _ witnesses) ~present ~from:(from_len, from_seed) items =
+let build_table ~slot ~(witness : _ witnesses) ~present ~from:(from_len, from_seed) items =
   let items = Array.of_list items in
   let n = Array.length items in
   let rec pow2 x = if x >= n * 2 && x >= 4 then x else pow2 (x * 2) in
@@ -555,27 +552,20 @@ let build_table c ~slot ~(witness : _ witnesses) ~present ~from:(from_len, from_
           Hashtbl.replace witness len w;
           w
       in
-      let mark =
-        if len <= Array.length c.mark then c.mark
-        else if len <= kept_mark then begin
-          c.mark <- Array.make len 0;
-          c.mark
-        end
-        else Array.make len 0
-      in
-      let rec fits stamp seed j =
+      let mark = Array.make len 0 in
+      let rec fits seed j =
         j = n
         ||
         let k, _, _ = items.(j) in
         let i = slot ~seed ~len k in
-        if mark.(i) lsr key_bits = stamp then begin
+        if mark.(i) lsr key_bits = seed then begin
           let first, _, _ = items.(mark.(i) land key_mask) in
           seen.(seed) <- Some (first, k);
           false
         end
         else begin
-          mark.(i) <- (stamp lsl key_bits) lor j;
-          fits stamp seed (j + 1)
+          mark.(i) <- (seed lsl key_bits) lor j;
+          fits seed (j + 1)
         end
       in
       let doomed seed =
@@ -585,13 +575,7 @@ let build_table c ~slot ~(witness : _ witnesses) ~present ~from:(from_len, from_
       in
       let rec try_seed seed =
         if seed > 64 then try_len (len * 2)
-        else if
-          (not (doomed seed))
-          && begin
-            c.trial <- c.trial + 1;
-            fits c.trial seed 0
-          end
-        then place ~seed len
+        else if (not (doomed seed)) && fits seed 0 then place ~seed len
         else try_seed (seed + 1)
       in
       try_seed (if len = from_len then from_seed else 1)
@@ -646,15 +630,15 @@ let build_program snap ~gen ~from:(dirs_from, paths_from, ex_from) c =
     let ex_keys = Hashtbl.create (List.length ex_items) in
     List.iter (fun (p, _, id, _) -> Hashtbl.replace ex_keys (p, id) ()) ex_items;
     match
-      ( build_table c ~slot:Policy.dir_slot ~witness:c.dir_w
+      ( build_table ~slot:Policy.dir_slot ~witness:c.dir_w
           ~present:(Hashtbl.mem snap.dirs)
           ~from:dirs_from
           dir_items,
-        build_table c ~slot:Policy.path_slot ~witness:c.path_w
+        build_table ~slot:Policy.path_slot ~witness:c.path_w
           ~present:(Hashtbl.mem snap.paths)
           ~from:paths_from
           path_items,
-        build_table c
+        build_table
           ~slot:(fun ~seed ~len (k, acl) -> Policy.ex_slot ~seed ~len ~acl k)
           ~witness:c.ex_w ~present:(Hashtbl.mem ex_keys)
           ~from:ex_from
@@ -1015,8 +999,7 @@ let compile ?tamper ?(verify_seed = 0x1db0) ?(verify_samples = 256) ?cache fs
   c.last <- Some (if Option.is_some base then Patched else Cold);
   let epoch = c.epoch in
   let w =
-    { w_fs = fs; w_direct = Option.is_some base; w_uid = uid; w_epoch = epoch; w_dirs = 0;
-      w_paths = 1 }
+    { w_fs = fs; w_uid = uid; w_epoch = epoch; w_dirs = 0; w_paths = 1 }
   in
   let root = share_of w ~prev:(Option.map (fun b -> b.b_root) base) "/" (Fs.root fs) in
   let built =

@@ -24,6 +24,13 @@ val right_bit : Idbox_acl.Right.t -> int
 val rights_mask : Idbox_acl.Rights.t -> int
 (** A rights set as a program mask. *)
 
+val resolve_final : Idbox_vfs.Fs.t -> uid:int -> string -> string
+(** Host-side mirror of the engine's resolution of a path's final
+    symlink chain (ancestors made canonical first), with [uid]'s
+    permissions and the shared expansion budget.  Performs no simulated
+    syscalls; the identity on a filesystem that has never held a
+    symlink. *)
+
 type cache
 (** Work one build carries to the next.  Facts about keys and texts:
     per (table, length, seed) the two keys that collided in that seed
@@ -31,10 +38,9 @@ type cache
     the last verified program with the per-directory shares it came
     from.  A build handed a cache produces exactly the program a cold
     build would.  Retained size is bounded by the trials tried (tables
-    × lengths × 64 seeds, one key pair each), one occupancy array of
-    at most 8,192 words, the ACL texts the latest build read (plus up
-    to a fixed number the interpreter parsed since) and one base per
-    uid. *)
+    × lengths × 64 seeds, one key pair each), the ACL texts the latest
+    build read (plus up to a fixed number the interpreter parsed since)
+    and one base per uid. *)
 
 val shared_cache : Idbox_vfs.Fs.t -> cache
 (** The one cache attached to a filesystem, created on first use: every

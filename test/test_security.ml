@@ -205,11 +205,32 @@ let acl_file_probes () =
   (match Libc.truncate ~len:0 "/shared/.__acl" with
    | Error Errno.EACCES -> ()
    | Ok () | Error _ -> Libc.exit 7);
+  (* Through symlinks the visitor may plant with [w]: the calls that
+     follow them must judge where they land. *)
+  (match (Libc.symlink ~target:".__acl" "/shared/x", Libc.symlink ~target:"/shared/x" "/shared/y") with
+   | Ok (), Ok () -> ()
+   | _ -> Libc.exit 8);
+  List.iter
+    (fun path ->
+      (match Libc.write_file path ~contents:"unix:eve rwlxad" with
+       | Error Errno.EACCES -> ()
+       | Ok () | Error _ -> Libc.exit 9);
+      (match Libc.chmod ~mode:0 path with
+       | Error Errno.EACCES -> ()
+       | Ok () | Error _ -> Libc.exit 10);
+      match Libc.truncate ~len:0 path with
+      | Error Errno.EACCES -> ()
+      | Ok () | Error _ -> Libc.exit 11)
+    [ "/shared/x"; "/shared/y" ];
   0
 
 let acl_files_protected () =
   let _, _, box = setup () in
-  Alcotest.(check int) "acl file unreachable" 0 (run_in box (fun _ -> acl_file_probes ()))
+  Alcotest.(check int) "acl file unreachable" 0 (run_in box (fun _ -> acl_file_probes ()));
+  Alcotest.(check bool) "still no admin" false
+    (Result.is_ok
+       (Enforce.check_in_dir (Box.enforcer box) ~identity:fred ~dir:"/shared"
+          Idbox_acl.Right.Admin))
 
 (* The same probes against the in-kernel box, where Fred holds every
    right but admin: without the refusal, writing the ACL file would
